@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -59,6 +60,7 @@ func benchSuite() []struct {
 		{"sim/event_throughput", benchEventThroughput},
 		{"sim/proc_switch", benchProcSwitch},
 		{"gpu/kernel_dispatch", benchKernelDispatch},
+		{"gpu/dispatch_after_100k_batches", benchDispatchAfterBatches},
 		{"model/build_uncached", benchModelBuild},
 		{"experiments/run_many_speedup", benchRunManySpeedup},
 		{"cluster/sharded_1dev", benchShardedCluster(1, 5_000)},
@@ -144,6 +146,53 @@ func benchKernelDispatch(b *testing.B) {
 	if err := env.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// retiredBatches is a device that has already run and retired
+// retiredBatchCount single-kernel batch streams, built on first use and
+// shared by every b.N round so the warm-up is paid once.
+var retiredBatches struct {
+	once sync.Once
+	env  *sim.Env
+	dev  *gpu.Device
+	next int
+}
+
+const retiredBatchCount = 100_000
+
+// runBatchStreams runs n single-kernel batches on the warm device, each on
+// a fresh stream and job ID that is closed and released once the kernel
+// completes, as serving retires a batch.
+func runBatchStreams(b *testing.B, n int) {
+	w := &retiredBatches
+	w.env.Go("batches", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			w.next++
+			id := w.next
+			ev := w.dev.Submit(&gpu.Kernel{Owner: id, Stream: id, Duration: time.Microsecond, Occupancy: 1})
+			ev.Wait(p)
+			w.dev.CloseStream(id)
+			w.dev.ReleaseOwner(id)
+		}
+	})
+	if err := w.env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchDispatchAfterBatches measures one batch's dispatch on a device that
+// has already retired 100k batch streams. Driver cost must not grow with
+// the number of batches a device has served, so this row stays flat
+// against gpu/kernel_dispatch.
+func benchDispatchAfterBatches(b *testing.B) {
+	w := &retiredBatches
+	w.once.Do(func() {
+		w.env = sim.NewEnv(1)
+		w.dev = gpu.New(w.env, gpu.GTX1080Ti)
+		runBatchStreams(b, retiredBatchCount)
+	})
+	b.ResetTimer()
+	runBatchStreams(b, b.N)
 }
 
 func benchModelBuild(b *testing.B) {

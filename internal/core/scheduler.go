@@ -189,6 +189,10 @@ func (s *Scheduler) Deregister(p *sim.Proc, job *executor.Job) {
 		return
 	}
 	s.closeInterval(departing)
+	// The departing job's kernels have all completed, so its busy time is
+	// already final: record it now, while the device still holds the
+	// job's accounting (serving releases it as soon as Run returns).
+	s.finalizePending()
 	s.holder = nil
 	if len(s.jobs) == 0 {
 		return

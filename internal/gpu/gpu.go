@@ -122,13 +122,31 @@ type Stats struct {
 	Crashes  int
 	Revives  int
 	Downtime time.Duration
+	// Streams counts open streams (seen and not yet reaped after
+	// CloseStream); Owners counts jobs whose accounting is still held (not
+	// yet reaped after ReleaseOwner). Both stay bounded by the live work
+	// when callers close per-batch streams and release finished jobs.
+	Streams int
+	Owners  int
 }
 
 // stream is one submission queue.
 type stream struct {
 	id     int
+	rank   uint64 // creation order
 	queue  []*Kernel
 	weight float64
+	closed bool // CloseStream called: reap once the queue is empty
+}
+
+// ownerState is one job's accounting on the device.
+type ownerState struct {
+	resident int           // kernels dispatched and not finished, launch phase included
+	active   int           // kernels in their execution phase
+	start    sim.Time      // opening of the busy interval while active > 0
+	busy     time.Duration // closed busy intervals
+	count    int           // kernels dispatched
+	released bool          // ReleaseOwner called: reap once resident is 0
 }
 
 // Device is a simulated GPU.
@@ -138,17 +156,15 @@ type Device struct {
 	rng  *rand.Rand // nil: fall back to the environment's shared source
 
 	streams     map[int]*stream
-	order       []int // stream ids in first-seen order, for determinism
+	live        []*stream // streams with queued kernels, in creation order
+	streamSeq   uint64    // last creation rank handed out
 	queued      int
 	inUse       float64
 	active      int // kernels in their execution phase
 	outstanding int // kernels dispatched and not yet finished
 	subSeq      uint64
 
-	ownerActive map[int]int
-	ownerStart  map[int]sim.Time
-	ownerBusy   map[int]time.Duration
-	ownerCount  map[int]int
+	owners map[int]*ownerState
 
 	globalStart sim.Time
 	globalBusy  time.Duration
@@ -208,13 +224,10 @@ func New(env *sim.Env, spec Spec) *Device {
 		spec.Capacity = 1.0
 	}
 	return &Device{
-		env:         env,
-		spec:        spec,
-		streams:     make(map[int]*stream),
-		ownerActive: make(map[int]int),
-		ownerStart:  make(map[int]sim.Time),
-		ownerBusy:   make(map[int]time.Duration),
-		ownerCount:  make(map[int]int),
+		env:     env,
+		spec:    spec,
+		streams: make(map[int]*stream),
+		owners:  make(map[int]*ownerState),
 	}
 }
 
@@ -257,9 +270,12 @@ func (d *Device) Submit(k *Kernel) *sim.Event {
 	k.queuedAt = d.env.Now()
 	st := d.streams[k.Stream]
 	if st == nil {
-		st = &stream{id: k.Stream, weight: d.drawWeight()}
+		d.streamSeq++
+		st = &stream{id: k.Stream, rank: d.streamSeq, weight: d.drawWeight()}
 		d.streams[k.Stream] = st
-		d.order = append(d.order, k.Stream)
+	}
+	if len(st.queue) == 0 {
+		d.enlist(st)
 	}
 	st.queue = append(st.queue, k)
 	d.queued++
@@ -269,6 +285,56 @@ func (d *Device) Submit(k *Kernel) *sim.Event {
 	d.armStall()
 	d.pump()
 	return k.Done
+}
+
+// enlist inserts a stream whose queue just became non-empty into the live
+// list at its creation rank. A new stream is the youngest and appends; a
+// returning per-client stream moves past the few younger live ones.
+func (d *Device) enlist(st *stream) {
+	i := len(d.live)
+	for i > 0 && d.live[i-1].rank > st.rank {
+		i--
+	}
+	d.live = append(d.live, nil)
+	copy(d.live[i+1:], d.live[i:])
+	d.live[i] = st
+}
+
+// CloseStream declares that stream id receives no more kernels. Its entry,
+// drawn weight included, is dropped once its queue is empty: at once if it
+// already is, else when its last kernel is dispatched or a crash fails it.
+// Serving closes each per-batch stream when the batch retires, so device
+// state is bounded by the live work rather than by every batch ever run.
+// Per-client streams are never closed and keep their weight across idle
+// periods. An ID submitted again after its stream was dropped opens a new
+// stream, with a fresh weight and the youngest creation rank.
+func (d *Device) CloseStream(id int) {
+	st := d.streams[id]
+	if st == nil {
+		return
+	}
+	if len(st.queue) == 0 {
+		delete(d.streams, id)
+		return
+	}
+	st.closed = true
+}
+
+// ReleaseOwner declares that job owner submits no more kernels; call it
+// once none of the job's kernels is queued. Its accounting is dropped once
+// none of its kernels is resident (dispatched and not finished): at once,
+// else when the last one finishes or a crash fails it. OwnerBusy,
+// OwnerKernels and ActiveKernels read 0 for it afterwards.
+func (d *Device) ReleaseOwner(owner int) {
+	o := d.owners[owner]
+	if o == nil {
+		return
+	}
+	if o.resident == 0 {
+		delete(d.owners, owner)
+		return
+	}
+	o.released = true
 }
 
 // InjectFaults attaches a fault injector: completing kernels may fail
@@ -353,10 +419,14 @@ func (d *Device) crash(recovery time.Duration) {
 	if d.active > 0 {
 		d.globalBusy += now.Sub(d.globalStart)
 	}
-	for owner, n := range d.ownerActive {
-		if n > 0 {
-			d.ownerBusy[owner] += now.Sub(d.ownerStart[owner])
-			d.ownerActive[owner] = 0
+	for id, o := range d.owners {
+		if o.active > 0 {
+			o.busy += now.Sub(o.start)
+			o.active = 0
+		}
+		o.resident = 0
+		if o.released {
+			delete(d.owners, id)
 		}
 	}
 	d.active = 0
@@ -366,8 +436,9 @@ func (d *Device) crash(recovery time.Duration) {
 	d.barrierDur = 0
 	d.barrierAt = 0
 	// Fail resident kernels (dispatch order), then queued ones (stream
-	// first-seen order, FIFO within each): a deterministic unwind sequence
-	// both engines replay identically.
+	// creation order, FIFO within each): a deterministic unwind sequence
+	// both engines replay identically. Closed streams are reaped as they
+	// empty.
 	res := d.resident
 	d.resident = nil
 	for _, k := range res {
@@ -379,14 +450,18 @@ func (d *Device) crash(recovery time.Duration) {
 		k.Err = faults.ErrDeviceCrashed
 		k.Done.Trigger()
 	}
-	for _, id := range d.order {
-		st := d.streams[id]
+	for _, st := range d.live {
 		for _, k := range st.queue {
 			k.Err = faults.ErrDeviceCrashed
 			k.Done.Trigger()
 		}
 		st.queue = nil
+		if st.closed {
+			delete(d.streams, st.id)
+		}
 	}
+	clear(d.live)
+	d.live = d.live[:0]
 	d.queued = 0
 	if d.onCrash != nil {
 		d.onCrash(recovery)
@@ -547,6 +622,12 @@ func (d *Device) barrierClosed() bool {
 	return false
 }
 
+// fits reports whether kernel k fits in the capacity left free.
+func (d *Device) fits(k *Kernel) bool {
+	const eps = 1e-9
+	return d.inUse+k.Occupancy <= d.spec.Capacity+eps
+}
+
 // maxBypassWait bounds how long younger kernels may be dispatched past an
 // older kernel that does not fit. Within the window, small kernels from
 // other streams keep flowing around a draining full-occupancy kernel (the
@@ -556,60 +637,67 @@ const maxBypassWait = 200 * time.Microsecond
 
 // pump dispatches queued kernels: pick among fitting stream heads with
 // probability proportional to stream weight, subject to the bypass window
-// around the oldest waiting kernel.
+// around the oldest waiting kernel. Only the live list (streams with queued
+// kernels, in creation order) is scanned, so the cost follows the waiting
+// work, not the number of streams the device has ever seen.
 func (d *Device) pump() {
-	const eps = 1e-9
 	if d.dead || d.barrierClosed() || d.stalled() {
 		return
 	}
-	for {
-		var oldest *stream
-		for _, id := range d.order {
-			st := d.streams[id]
-			if len(st.queue) == 0 {
-				continue
-			}
-			if oldest == nil || st.queue[0].seq < oldest.queue[0].seq {
+	for len(d.live) > 0 {
+		oldest := d.live[0]
+		for _, st := range d.live[1:] {
+			if st.queue[0].seq < oldest.queue[0].seq {
 				oldest = st
 			}
 		}
-		if oldest == nil {
-			return
-		}
 		head := oldest.queue[0]
-		if d.inUse+head.Occupancy > d.spec.Capacity+eps &&
-			d.env.Now().Sub(head.queuedAt) >= maxBypassWait {
+		if !d.fits(head) && d.env.Now().Sub(head.queuedAt) >= maxBypassWait {
 			return // age barrier: wait for drain
 		}
-		// Candidates: stream heads that fit.
-		var cands []*stream
-		total := 0.0
-		for _, id := range d.order {
-			st := d.streams[id]
-			if len(st.queue) == 0 {
-				continue
-			}
-			if d.inUse+st.queue[0].Occupancy <= d.spec.Capacity+eps {
-				cands = append(cands, st)
+		// Candidates: stream heads that fit. The weighted draw walks them
+		// a second time in the same order, so it allocates nothing.
+		pick, n, total := -1, 0, 0.0
+		for i, st := range d.live {
+			if d.fits(st.queue[0]) {
+				if n == 0 {
+					pick = i
+				}
+				n++
 				total += st.weight
 			}
 		}
-		if len(cands) == 0 {
+		if n == 0 {
 			return // within the bypass window but nothing fits yet
 		}
-		pick := cands[0]
-		if len(cands) > 1 {
+		if n > 1 {
 			r := d.rand().Float64() * total
-			for _, st := range cands {
+			for i, st := range d.live {
+				if !d.fits(st.queue[0]) {
+					continue
+				}
 				r -= st.weight
 				if r < 0 {
-					pick = st
+					pick = i
 					break
 				}
 			}
 		}
-		k := pick.queue[0]
-		pick.queue = pick.queue[1:]
+		st := d.live[pick]
+		k := st.queue[0]
+		st.queue[0] = nil
+		st.queue = st.queue[1:]
+		if len(st.queue) == 0 {
+			// Drop the drained slice: queue[1:] would still pin its
+			// backing array.
+			st.queue = nil
+			copy(d.live[pick:], d.live[pick+1:])
+			d.live[len(d.live)-1] = nil
+			d.live = d.live[:len(d.live)-1]
+			if st.closed {
+				delete(d.streams, st.id)
+			}
+		}
 		d.queued--
 		d.begin(k)
 	}
@@ -623,7 +711,13 @@ func (d *Device) begin(k *Kernel) {
 	d.inUse += k.Occupancy
 	d.outstanding++
 	d.stats.KernelsRun++
-	d.ownerCount[k.Owner]++
+	o := d.owners[k.Owner]
+	if o == nil {
+		o = &ownerState{}
+		d.owners[k.Owner] = o
+	}
+	o.count++
+	o.resident++
 	d.kernelsC.Inc()
 	k.launchSpan = d.rec.StartSpan(obs.LayerGPU, "h2d", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream))
 	d.resident = append(d.resident, k)
@@ -645,10 +739,11 @@ func (d *Device) execStart(k *Kernel) {
 	if d.active == 1 {
 		d.globalStart = now
 	}
-	if d.ownerActive[k.Owner] == 0 {
-		d.ownerStart[k.Owner] = now
+	o := d.owners[k.Owner] // held: the kernel is resident
+	if o.active == 0 {
+		o.start = now
 	}
-	d.ownerActive[k.Owner]++
+	o.active++
 	ep := d.epoch
 	d.env.Schedule(time.Duration(float64(k.Duration)/d.spec.ClockScale), func() {
 		if d.epoch != ep {
@@ -669,9 +764,14 @@ func (d *Device) finish(k *Kernel) {
 	if d.active == 0 {
 		d.globalBusy += now.Sub(d.globalStart)
 	}
-	d.ownerActive[k.Owner]--
-	if d.ownerActive[k.Owner] == 0 {
-		d.ownerBusy[k.Owner] += now.Sub(d.ownerStart[k.Owner])
+	o := d.owners[k.Owner]
+	o.active--
+	if o.active == 0 {
+		o.busy += now.Sub(o.start)
+	}
+	o.resident--
+	if o.released && o.resident == 0 {
+		delete(d.owners, k.Owner)
 	}
 	if d.outstanding == 0 && d.barrierDur > 0 && d.barrierAt == 0 {
 		d.armBarrier()
@@ -696,23 +796,38 @@ func (d *Device) finish(k *Kernel) {
 // OwnerBusy returns job owner's accumulated GPU duration (the Figure 5
 // union of busy intervals), including any interval still open.
 func (d *Device) OwnerBusy(owner int) time.Duration {
-	busy := d.ownerBusy[owner]
-	if d.ownerActive[owner] > 0 {
-		busy += d.env.Now().Sub(d.ownerStart[owner])
+	o := d.owners[owner]
+	if o == nil {
+		return 0
+	}
+	busy := o.busy
+	if o.active > 0 {
+		busy += d.env.Now().Sub(o.start)
 	}
 	return busy
 }
 
 // OwnerKernels returns how many kernels owner has completed or started.
-func (d *Device) OwnerKernels(owner int) int { return d.ownerCount[owner] }
+func (d *Device) OwnerKernels(owner int) int {
+	if o := d.owners[owner]; o != nil {
+		return o.count
+	}
+	return 0
+}
 
-// ActiveKernels returns the number of owner's kernels currently resident —
+// ActiveKernels returns the number of owner's kernels currently executing —
 // nonzero for a job that has just been switched out means quantum overflow
 // (Figure 15).
-func (d *Device) ActiveKernels(owner int) int { return d.ownerActive[owner] }
+func (d *Device) ActiveKernels(owner int) int {
+	if o := d.owners[owner]; o != nil {
+		return o.active
+	}
+	return 0
+}
 
-// StreamWeight returns the service weight drawn for a stream (1.0 before
-// the stream's first submission).
+// StreamWeight returns the service weight drawn for a stream. It is 1.0
+// for a stream ID with no entry: before its first submission, and after a
+// closed stream has been reaped (see CloseStream).
 func (d *Device) StreamWeight(streamID int) float64 {
 	if st := d.streams[streamID]; st != nil {
 		return st.weight
@@ -776,5 +891,7 @@ func (d *Device) Stats() Stats {
 	s.MemoryInUse = d.memUsed
 	s.ActiveNow = d.active
 	s.Downtime = d.DowntimeAt(d.env.Now())
+	s.Streams = len(d.streams)
+	s.Owners = len(d.owners)
 	return s
 }

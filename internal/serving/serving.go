@@ -861,6 +861,9 @@ func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Re
 	// riding the class track of the request that opened the batch.
 	span := s.rec.StartSpan(obs.LayerServing, "batch", obs.NoReq, int(batch[0].Class), s.obsDev, int64(len(batch)))
 	defer s.rec.EndSpan(span)
+	// The batch's stream is never reused: drop it from the device when the
+	// batch retires, however it ends.
+	defer s.dev.CloseStream(clientID)
 	var jobErr error
 	for attempt := 0; ; attempt++ {
 		if br.live == 0 {
@@ -870,6 +873,7 @@ func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Re
 		job := s.eng.NewJob(clientID, g)
 		br.job = job
 		s.eng.Run(p, job)
+		s.dev.ReleaseOwner(job.ID)
 		jobErr = job.Err()
 		if jobErr == nil {
 			break
