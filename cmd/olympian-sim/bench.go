@@ -67,6 +67,7 @@ func benchSuite() []struct {
 		{"cluster/sharded_8dev", benchShardedCluster8},
 		{"cluster/sharded_64dev", benchShardedCluster(64, 50_000)},
 		{"serving/continuous_batching", benchContinuousBatching},
+		{"serving/kv_starved_step", benchKVStarvedStep},
 		{"telemetry/sampler", benchTelemetrySampler},
 	}
 }
@@ -368,6 +369,62 @@ func benchContinuousBatching(b *testing.B) {
 		tokens += st.TokensEmitted
 	}
 	b.ReportMetric(float64(tokens)/total.Seconds(), "tokens_per_s")
+}
+
+// benchKVStarvedStep drives one colocated LLM replica whose KV budget holds
+// only a few sequences with a burst of mixed-class requests: the prefill
+// queue stands for the whole run, the head prefill is denied cache and put
+// back once per decode step, and growing sequences preempt each other. It
+// measures the host cost of that KV-pressure path. One op is a full
+// 200-request run; preemptions per run are reported as a metric.
+func benchKVStarvedStep(b *testing.B) {
+	const requests = 200
+	weights, err := model.LLMWeightsBytes(model.LLMTiny)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := gpu.GTX1080Ti
+	spec.Name = "kv-starved"
+	spec.MemoryBytes = weights + 640<<10 // ~320 cache tokens
+	prof, err := profiler.ProfileLLM(model.LLMTiny, spec, 900)
+	if err != nil {
+		b.Fatal(err)
+	}
+	preemptions := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env := sim.NewEnv(1)
+		srv, err := serving.NewLLMServer(env, serving.LLMConfig{
+			Spec:    spec,
+			Model:   model.LLMTiny,
+			Seed:    1,
+			Slim:    true,
+			Profile: prof,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(29))
+		for n := 0; n < requests; n++ {
+			class := overload.Class(rng.Intn(int(overload.NumClasses)))
+			prompt, output := 16+rng.Intn(48), 16+rng.Intn(112)
+			env.Schedule(time.Duration(n)*time.Microsecond, func() {
+				if _, err := srv.Submit(model.LLMTiny, class, prompt, output, 0); err != nil {
+					b.Error(err)
+				}
+			})
+		}
+		if err := env.Run(); err != nil {
+			b.Fatal(err)
+		}
+		st := srv.Stats()
+		if st.Completed+st.Failed != requests || st.Preemptions == 0 {
+			b.Fatalf("kv-starved run: %d completed, %d failed, %d preemptions of %d requests",
+				st.Completed, st.Failed, st.Preemptions, requests)
+		}
+		preemptions += st.Preemptions
+	}
+	b.ReportMetric(float64(preemptions)/float64(b.N), "preemptions")
 }
 
 // benchSpecs builds a small multi-config workload: four independent Olympian

@@ -78,3 +78,61 @@ func TestSlimFleetDeviceStateBounded(t *testing.T) {
 		t.Fatalf("only %d batches ran; the fleet must retire many per-batch streams", batches)
 	}
 }
+
+// TestLLMFleetDeviceOwnersBounded: a disaggregated LLM fleet under KV
+// pressure, TTFT expiry and a crash on each pool ends every request on some
+// replica — completion, hand-off, failure or expiry. Each of those paths
+// must release the request's device owner, so no replica still holds owner
+// accounting once the run quiesces.
+func TestLLMFleetDeviceOwnersBounded(t *testing.T) {
+	weights, err := model.LLMWeightsBytes(model.LLMTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := gpu.GTX1080Ti
+	decode.Name = "decode-cell"
+	decode.MemoryBytes = weights + 640<<10 // a few sequences of cache at most
+	crash := func(at time.Duration) *faults.Plan {
+		return &faults.Plan{Crashes: []faults.CrashEvent{{At: at, Recovery: 5 * time.Millisecond}}}
+	}
+	c, err := NewLLM(LLMConfig{
+		Seed:            21,
+		Model:           model.LLMTiny,
+		PrefillReplicas: 2,
+		DecodeReplicas:  2,
+		DecodeSpec:      decode,
+		TTFTDeadline:    5 * time.Millisecond,
+		Faults:          []*faults.Plan{crash(6 * time.Millisecond), nil, nil, crash(9 * time.Millisecond)},
+		Slim:            true,
+		Workers:         2,
+	}, Sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := c.FrontEnv()
+	rng := rand.New(rand.NewSource(4))
+	const requests = 400
+	for i := 0; i < requests; i++ {
+		at := time.Duration(i) * 100 * time.Microsecond
+		class := overload.Class(rng.Intn(int(overload.NumClasses)))
+		prompt, output := 16+rng.Intn(96), 16+rng.Intn(96)
+		env.Schedule(at, func() { c.SubmitEvent(class, prompt, output) })
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c.Shutdown()
+	st := c.Stats()
+	if st.Requests != requests {
+		t.Fatalf("requests = %d, want %d", st.Requests, requests)
+	}
+	if st.Crashes != 2 || st.Preemptions == 0 || st.Expired == 0 {
+		t.Fatalf("fleet must crash twice, preempt and expire: crashes=%d preemptions=%d expired=%d",
+			st.Crashes, st.Preemptions, st.Expired)
+	}
+	for i := 0; i < c.Devices(); i++ {
+		if n := c.Server(i).Device().Stats().Owners; n != 0 {
+			t.Errorf("device %d holds %d owners after quiescing, want 0", i, n)
+		}
+	}
+}

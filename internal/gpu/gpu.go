@@ -25,6 +25,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -857,14 +858,21 @@ func (d *Device) QueueLen() int { return d.queued }
 // Active returns the number of kernels currently resident.
 func (d *Device) Active() int { return d.active }
 
-// Alloc reserves device memory, failing when the device is full.
+// ErrOutOfMemory is the error Alloc (and KVCache.Grow) returns when the
+// device cannot hold the requested bytes. It is a sentinel, not a formatted
+// error, so a denied allocation costs no heap allocation: the KV-starved
+// serving path retries one on every decode step. Test it with errors.Is.
+var ErrOutOfMemory = errors.New("gpu: out of memory")
+
+// Alloc reserves device memory. When the device is full nothing is reserved
+// and ErrOutOfMemory is returned; callers that report the failure add the
+// sizes themselves (MemoryInUse, Spec().MemoryBytes).
 func (d *Device) Alloc(bytes int64) error {
 	if bytes < 0 {
 		return fmt.Errorf("gpu %s: negative allocation %d", d.spec.Name, bytes)
 	}
 	if d.memUsed+bytes > d.spec.MemoryBytes {
-		return fmt.Errorf("gpu %s: out of memory: %d in use, %d requested, %d total",
-			d.spec.Name, d.memUsed, bytes, d.spec.MemoryBytes)
+		return ErrOutOfMemory
 	}
 	d.memUsed += bytes
 	if d.memUsed > d.stats.MemoryPeak {

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -168,8 +169,11 @@ func TestMemoryAccounting(t *testing.T) {
 	if err := dev.Alloc(1 << 29); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.Alloc(1); err == nil {
-		t.Fatal("expected out-of-memory error")
+	if err := dev.Alloc(1); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("alloc past capacity: err = %v, want ErrOutOfMemory", err)
+	}
+	if err := dev.Alloc(-1); err == nil || errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("negative alloc: err = %v, want a non-OOM error", err)
 	}
 	dev.Free(1 << 29)
 	if err := dev.Alloc(1); err != nil {

@@ -11,8 +11,6 @@
 // must answer with queueing or preemption.
 package gpu
 
-import "fmt"
-
 // KVStats is a snapshot of cache-allocator counters. Comparable by ==, so
 // differential tests can fold it into DeepEqual'd stats.
 type KVStats struct {
@@ -79,8 +77,8 @@ func (kc *KVCache) CanFit(tokens int) bool {
 
 // Grow ensures the sequence's cache covers tokens total tokens, reserving
 // blocks as needed. On exhaustion nothing is allocated (no partial growth)
-// and the device's out-of-memory error is returned: the caller must queue,
-// preempt a victim, or fail the sequence.
+// and ErrOutOfMemory is returned unwrapped, so a denied Grow allocates
+// nothing: the caller must queue, preempt a victim, or fail the sequence.
 func (kc *KVCache) Grow(seq, tokens int) error {
 	have := kc.blocks[seq]
 	need := kc.blocksFor(tokens)
@@ -88,7 +86,7 @@ func (kc *KVCache) Grow(seq, tokens int) error {
 		delta := int64(need-have) * kc.blockBytes
 		if err := kc.dev.Alloc(delta); err != nil {
 			kc.stats.AllocFailures++
-			return fmt.Errorf("kvcache: seq %d at %d tokens: %w", seq, tokens, err)
+			return err
 		}
 		kc.blocks[seq] = need
 		kc.stats.Grown += need - have

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"testing"
 
 	"olympian/internal/sim"
@@ -75,8 +76,8 @@ func TestKVCacheCompetesWithWeights(t *testing.T) {
 	if kc.CanFit(1) {
 		t.Fatalf("device is full; CanFit must say no")
 	}
-	if err := kc.Grow(8, 1); err == nil {
-		t.Fatalf("Grow past device memory must fail")
+	if err := kc.Grow(8, 1); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Grow past device memory: err = %v, want ErrOutOfMemory", err)
 	}
 	st := kc.Stats()
 	if st.AllocFailures != 1 {
@@ -89,5 +90,26 @@ func TestKVCacheCompetesWithWeights(t *testing.T) {
 	kc.Release(7)
 	if err := kc.Grow(8, 1); err != nil {
 		t.Fatalf("Grow after release: %v", err)
+	}
+}
+
+// TestKVCacheDeniedGrowAllocatesNothing: a KV-starved replica retries a
+// denied Grow on every decode step, so the denial must not touch the heap.
+func TestKVCacheDeniedGrowAllocatesNothing(t *testing.T) {
+	dev := kvTestDevice(t, 4<<10)
+	kc := NewKVCache(dev, 16, 64) // 1 KiB blocks
+	if err := kc.Grow(1, 64); err != nil {
+		t.Fatal(err) // fills the device
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := kc.Grow(2, 16); err != ErrOutOfMemory {
+			t.Fatalf("err = %v, want ErrOutOfMemory unwrapped", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("denied Grow allocates %v times per call, want 0", allocs)
+	}
+	if st := kc.Stats(); st.AllocFailures != 101 || st.BlocksInUse != 4 {
+		t.Fatalf("stats = %+v, want 101 failures and 4 blocks in use", st)
 	}
 }

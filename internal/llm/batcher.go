@@ -1,5 +1,7 @@
 package llm
 
+import "olympian/internal/overload"
+
 // Batcher is the continuous-batching membership policy: which sequences are
 // waiting for prefill, which have KV resident and wait for a batch slot, and
 // which are in the in-flight decode batch. Sequences join and leave the
@@ -11,14 +13,72 @@ package llm
 // the batch width; a prefill pass processes its whole prompt in one kernel
 // and therefore always runs alone (chunked prefill is out of scope).
 //
+// The prefill queue is one FIFO deque per class. Every entry carries an
+// order key — Enqueue draws the next key upward, EnqueueFront the next key
+// downward — so each deque stays sorted by key and the keys order all
+// queued requests exactly as one FCFS slice with front re-entry would.
+// Popping the front of the highest non-empty class is then that slice's
+// "first request of the highest class" at O(classes), and a KV-denied
+// prefill put back with EnqueueFront reuses the slot its pop freed.
+//
 // The Batcher is pure bookkeeping — no clock, no randomness — so both
 // cluster engines drive bit-identical membership sequences through it.
 type Batcher struct {
 	maxSeqs int
 
-	queue   []*Request // waiting for (re)prefill, FCFS; preemptions re-enter at the front
-	ready   []*Request // prefilled, KV resident, waiting for a slot
-	running []*Request // in-flight decode batch, in join order
+	prefill     [overload.NumClasses]prefillDeque // waiting for (re)prefill
+	queued      int                               // total across prefill deques
+	front, back int64                             // next EnqueueFront / Enqueue keys
+	ready       []*Request                        // prefilled, KV resident, waiting for a slot
+	running     []*Request                        // in-flight decode batch, in join order
+}
+
+// prefillEntry is a queued request and its order key.
+type prefillEntry struct {
+	key int64
+	r   *Request
+}
+
+// prefillDeque is a ring buffer of entries sorted by key; its capacity is 0
+// or a power of two.
+type prefillDeque struct {
+	buf  []prefillEntry
+	head int
+	n    int
+}
+
+func (q *prefillDeque) at(i int) prefillEntry { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *prefillDeque) grow() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([]prefillEntry, max(8, 2*len(q.buf)))
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.at(i)
+	}
+	q.buf, q.head = buf, 0
+}
+
+func (q *prefillDeque) pushBack(e prefillEntry) {
+	q.grow()
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	q.n++
+}
+
+func (q *prefillDeque) pushFront(e prefillEntry) {
+	q.grow()
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = e
+	q.n++
+}
+
+func (q *prefillDeque) popFront() *Request {
+	r := q.buf[q.head].r
+	q.buf[q.head] = prefillEntry{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r
 }
 
 // NewBatcher bounds the decode batch by maxSeqs sequences and maxBatchTokens
@@ -39,16 +99,23 @@ func NewBatcher(maxSeqs, maxBatchTokens int) *Batcher {
 func (b *Batcher) Slots() int { return b.maxSeqs }
 
 // Enqueue appends a request to the prefill queue.
-func (b *Batcher) Enqueue(r *Request) { b.queue = append(b.queue, r) }
+func (b *Batcher) Enqueue(r *Request) {
+	b.prefill[r.Class].pushBack(prefillEntry{key: b.back, r: r})
+	b.back++
+	b.queued++
+}
 
-// EnqueueFront puts a preempted request at the head of the prefill queue:
-// recomputation preserves its position ahead of newer arrivals.
+// EnqueueFront puts a preempted (or KV-denied) request at the head of the
+// prefill queue: recomputation preserves its position ahead of newer
+// arrivals.
 func (b *Batcher) EnqueueFront(r *Request) {
-	b.queue = append([]*Request{r}, b.queue...)
+	b.front--
+	b.prefill[r.Class].pushFront(prefillEntry{key: b.front, r: r})
+	b.queued++
 }
 
 // QueueLen returns how many requests are waiting for prefill.
-func (b *Batcher) QueueLen() int { return len(b.queue) }
+func (b *Batcher) QueueLen() int { return b.queued }
 
 // Ready returns how many prefilled sequences are waiting for a slot.
 func (b *Batcher) Ready() int { return len(b.ready) }
@@ -59,7 +126,7 @@ func (b *Batcher) Running() []*Request { return b.running }
 
 // HasWork reports whether anything is queued, ready, or running.
 func (b *Batcher) HasWork() bool {
-	return len(b.queue) > 0 || len(b.ready) > 0 || len(b.running) > 0
+	return b.queued > 0 || len(b.ready) > 0 || len(b.running) > 0
 }
 
 // Idle reports the opposite of HasWork.
@@ -72,20 +139,15 @@ func (b *Batcher) Idle() bool { return !b.HasWork() }
 // backlog of batch work (within one class the order is strict FCFS, and
 // preempted sequences re-entered at the front keep their place).
 func (b *Batcher) NextPrefill() *Request {
-	if len(b.queue) == 0 || len(b.running)+len(b.ready) >= b.maxSeqs {
+	if b.queued == 0 || len(b.running)+len(b.ready) >= b.maxSeqs {
 		return nil
 	}
-	pick := 0
-	for i, r := range b.queue {
-		if r.Class > b.queue[pick].Class {
-			pick = i
+	for c := len(b.prefill) - 1; ; c-- {
+		if b.prefill[c].n > 0 {
+			b.queued--
+			return b.prefill[c].popFront()
 		}
 	}
-	r := b.queue[pick]
-	copy(b.queue[pick:], b.queue[pick+1:])
-	b.queue[len(b.queue)-1] = nil
-	b.queue = b.queue[:len(b.queue)-1]
-	return r
 }
 
 // Admit marks a prefilled (or ingested) sequence ready to join the batch at
@@ -173,9 +235,26 @@ func (b *Batcher) KVTokens() int {
 }
 
 // TakeAll empties every set and returns the former members in queue, ready,
-// running order — crash unwinding fails them all.
+// running order — crash unwinding fails them all. The queued requests come
+// back merged by order key: the FCFS order with front re-entries first.
 func (b *Batcher) TakeAll() (queued, ready, running []*Request) {
-	queued, ready, running = b.queue, b.ready, b.running
-	b.queue, b.ready, b.running = nil, nil, nil
+	if b.queued > 0 {
+		queued = make([]*Request, 0, b.queued)
+	}
+	var pos [overload.NumClasses]int
+	for len(queued) < b.queued {
+		pick := -1
+		for c := range b.prefill {
+			q := &b.prefill[c]
+			if pos[c] < q.n && (pick < 0 || q.at(pos[c]).key < b.prefill[pick].at(pos[pick]).key) {
+				pick = c
+			}
+		}
+		queued = append(queued, b.prefill[pick].at(pos[pick]).r)
+		pos[pick]++
+	}
+	ready, running = b.ready, b.running
+	b.prefill, b.queued = [overload.NumClasses]prefillDeque{}, 0
+	b.ready, b.running = nil, nil
 	return queued, ready, running
 }

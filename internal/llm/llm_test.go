@@ -176,3 +176,188 @@ func TestLengthDistDeterministicAndBounded(t *testing.T) {
 		t.Fatalf("zero dist must clamp to 1/1, got %d/%d", p, o)
 	}
 }
+
+// refBatcher is the single-slice prefill queue the per-class deques replace,
+// kept as the order oracle: FCFS append, front re-entry by prepending, and
+// NextPrefill taking the first request of the highest waiting class.
+type refBatcher struct {
+	maxSeqs               int
+	queue, ready, running []*Request
+}
+
+func (b *refBatcher) Enqueue(r *Request)      { b.queue = append(b.queue, r) }
+func (b *refBatcher) EnqueueFront(r *Request) { b.queue = append([]*Request{r}, b.queue...) }
+
+func (b *refBatcher) NextPrefill() *Request {
+	if len(b.queue) == 0 || len(b.running)+len(b.ready) >= b.maxSeqs {
+		return nil
+	}
+	pick := 0
+	for i, r := range b.queue {
+		if r.Class > b.queue[pick].Class {
+			pick = i
+		}
+	}
+	r := b.queue[pick]
+	b.queue = append(b.queue[:pick], b.queue[pick+1:]...)
+	return r
+}
+
+func (b *refBatcher) Promote() []*Request {
+	var joined []*Request
+	for len(b.ready) > 0 && len(b.running) < b.maxSeqs {
+		joined = append(joined, b.ready[0])
+		b.running = append(b.running, b.ready[0])
+		b.ready = b.ready[1:]
+	}
+	return joined
+}
+
+func (b *refBatcher) Victim() *Request {
+	if len(b.running) < 2 {
+		return nil
+	}
+	vi := 0
+	for i, r := range b.running {
+		v := b.running[vi]
+		if r.Class < v.Class || (r.Class == v.Class && r.ID > v.ID) {
+			vi = i
+		}
+	}
+	v := b.running[vi]
+	b.running = append(b.running[:vi], b.running[vi+1:]...)
+	return v
+}
+
+func (b *refBatcher) TakeAll() (queued, ready, running []*Request) {
+	queued, ready, running = b.queue, b.ready, b.running
+	b.queue, b.ready, b.running = nil, nil, nil
+	return queued, ready, running
+}
+
+func sameRequests(a, b []*Request) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkBatcherOrder drives the Batcher and the reference queue through the
+// same operation sequence, one byte per operation, and fails on the first
+// popped request, promotion, victim or TakeAll order that differs.
+func checkBatcherOrder(t *testing.T, slots int, ops []byte) {
+	t.Helper()
+	env := sim.NewEnv(1)
+	b, ref := NewBatcher(slots, 0), &refBatcher{maxSeqs: slots}
+	next := 0
+	for step, op := range ops {
+		class := overload.Class(op>>3) % overload.NumClasses
+		switch op % 8 {
+		case 0, 1, 2: // arrival
+			r := NewRequest(env, next, "m", class, 8, 4, 0)
+			next++
+			b.Enqueue(r)
+			ref.Enqueue(r)
+		case 3: // prefill lands: the sequence becomes ready
+			got, want := b.NextPrefill(), ref.NextPrefill()
+			if got != want {
+				t.Fatalf("op %d: NextPrefill = %v, want %v", step, got, want)
+			}
+			if got != nil {
+				b.Admit(got)
+				ref.ready = append(ref.ready, got)
+			}
+		case 4: // prefill denied KV: back to the front
+			got, want := b.NextPrefill(), ref.NextPrefill()
+			if got != want {
+				t.Fatalf("op %d: NextPrefill = %v, want %v", step, got, want)
+			}
+			if got != nil {
+				b.EnqueueFront(got)
+				ref.EnqueueFront(got)
+			}
+		case 5:
+			if got, want := b.Promote(), ref.Promote(); !sameRequests(got, want) {
+				t.Fatalf("op %d: Promote = %v, want %v", step, got, want)
+			}
+		case 6: // preemption re-enters the victim at the front
+			got, want := b.Victim(), ref.Victim()
+			if got != want {
+				t.Fatalf("op %d: Victim = %v, want %v", step, got, want)
+			}
+			if got != nil {
+				b.EnqueueFront(got)
+				ref.EnqueueFront(got)
+			}
+		case 7:
+			if op>>3 < 4 { // rare crash unwind; otherwise the oldest finishes
+				gq, gr, gx := b.TakeAll()
+				wq, wr, wx := ref.TakeAll()
+				if !sameRequests(gq, wq) || !sameRequests(gr, wr) || !sameRequests(gx, wx) {
+					t.Fatalf("op %d: TakeAll = %v %v %v, want %v %v %v", step, gq, gr, gx, wq, wr, wx)
+				}
+			} else if len(ref.running) > 0 {
+				r := ref.running[0]
+				ref.running = ref.running[1:]
+				b.Leave(r)
+			}
+		}
+		if b.QueueLen() != len(ref.queue) || b.HasWork() != (len(ref.queue)+len(ref.ready)+len(ref.running) > 0) {
+			t.Fatalf("op %d: QueueLen %d HasWork %v, reference queue %d", step, b.QueueLen(), b.HasWork(), len(ref.queue))
+		}
+	}
+	gq, gr, gx := b.TakeAll()
+	wq, wr, wx := ref.TakeAll()
+	if !sameRequests(gq, wq) || !sameRequests(gr, wr) || !sameRequests(gx, wx) {
+		t.Fatalf("final TakeAll = %v %v %v, want %v %v %v", gq, gr, gx, wq, wr, wx)
+	}
+}
+
+func TestBatcherMatchesSingleQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 200; i++ {
+		ops := make([]byte, 50+rng.Intn(400))
+		rng.Read(ops)
+		checkBatcherOrder(t, 1+rng.Intn(6), ops)
+	}
+}
+
+func FuzzBatcherOrder(f *testing.F) {
+	f.Add(uint8(2), []byte{0, 8, 0, 8, 3, 4, 3, 5, 6, 4, 3, 7})
+	f.Add(uint8(1), []byte{8, 0, 8, 16, 4, 4, 3, 5, 3, 6, 15, 0, 8, 3})
+	f.Add(uint8(4), []byte{0, 1, 9, 10, 3, 3, 3, 5, 6, 6, 4, 4, 12, 59, 3, 7})
+	f.Fuzz(func(t *testing.T, slots uint8, ops []byte) {
+		checkBatcherOrder(t, 1+int(slots%8), ops)
+	})
+}
+
+// TestBatcherKVDeniedCycleAllocatesNothing: a KV-starved replica pops the
+// head prefill and puts it back once per decode step; in steady state that
+// cycle must not touch the heap.
+func TestBatcherKVDeniedCycleAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	b := NewBatcher(4, 0)
+	for i := 0; i < 32; i++ {
+		b.Enqueue(NewRequest(env, i, "m", overload.Class(i)%overload.NumClasses, 8, 4, 0))
+	}
+	head := b.NextPrefill()
+	b.EnqueueFront(head)
+	allocs := testing.AllocsPerRun(100, func() {
+		r := b.NextPrefill()
+		if r != head {
+			t.Fatalf("popped %v, want the re-entered head %v", r, head)
+		}
+		b.EnqueueFront(r)
+	})
+	if allocs != 0 {
+		t.Fatalf("NextPrefill/EnqueueFront cycle allocates %v times, want 0", allocs)
+	}
+	if b.QueueLen() != 32 {
+		t.Fatalf("queue length %d, want 32", b.QueueLen())
+	}
+}

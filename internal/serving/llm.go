@@ -219,6 +219,11 @@ type LLMServer struct {
 	cond    *sim.Cond
 	pending []*llm.Request // decode-role ingests waiting for cache space
 
+	// Decode-step scratch, reused so a step allocates nothing; emptied
+	// before the step returns.
+	stepGrown map[*llm.Request]bool
+	stepRun   []*llm.Request
+
 	reqCount int
 	requests []*llm.Request // retained unless Slim
 
@@ -305,7 +310,8 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 		dev.Observe(cfg.Obs, cfg.Device)
 	}
 	if err := dev.Alloc(weights); err != nil {
-		return nil, fmt.Errorf("serving: %s weights do not fit: %w", cfg.Model, err)
+		return nil, fmt.Errorf("serving: %s weights (%d bytes) do not fit in %s memory (%d bytes): %w",
+			cfg.Model, weights, cfg.Spec.Name, cfg.Spec.MemoryBytes, err)
 	}
 	prof := cfg.Profile
 	if prof == nil {
@@ -315,16 +321,17 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 		}
 	}
 	s := &LLMServer{
-		env:      env,
-		cfg:      cfg,
-		dev:      dev,
-		kv:       gpu.NewKVCache(dev, cfg.BlockTokens, kvPerTok),
-		prof:     prof,
-		batch:    llm.NewBatcher(cfg.MaxSeqs, cfg.MaxBatchTokens),
-		cond:     env.NewCond(fmt.Sprintf("llm-engine-%d", cfg.Device)),
-		kvBudget: cfg.Spec.MemoryBytes - weights,
-		rec:      cfg.Obs,
-		obsDev:   cfg.Device,
+		env:       env,
+		cfg:       cfg,
+		dev:       dev,
+		kv:        gpu.NewKVCache(dev, cfg.BlockTokens, kvPerTok),
+		prof:      prof,
+		batch:     llm.NewBatcher(cfg.MaxSeqs, cfg.MaxBatchTokens),
+		cond:      env.NewCond(fmt.Sprintf("llm-engine-%d", cfg.Device)),
+		stepGrown: make(map[*llm.Request]bool),
+		kvBudget:  cfg.Spec.MemoryBytes - weights,
+		rec:       cfg.Obs,
+		obsDev:    cfg.Device,
 	}
 	if cfg.Admission != nil {
 		s.limiter = overload.NewTokenLimiter(*cfg.Admission)
@@ -506,11 +513,18 @@ func (s *LLMServer) OnCrash() int {
 // runnable reports whether the engine has anything to do.
 func (s *LLMServer) runnable() bool { return s.batch.HasWork() || len(s.pending) > 0 }
 
+// decodeOwner is the device owner of fused decode-step kernels, which serve
+// many requests at once; prefill kernels are owned by their request's ID.
+const decodeOwner = -1
+
 // drive is the engine daemon: admit ingests, re-form the batch at the token
 // boundary, then run one prefill pass or one fused decode step.
 func (s *LLMServer) drive(p *sim.Proc) {
 	for {
 		if s.dev.Dead() || !s.runnable() {
+			// Parking idle: no decode step is in flight, so the device may
+			// drop the decode owner's accounting until the next step.
+			s.dev.ReleaseOwner(decodeOwner)
 			s.cond.Wait(p)
 			continue
 		}
@@ -623,6 +637,7 @@ func (s *LLMServer) expireTTFT(r *llm.Request, now sim.Time) bool {
 	s.rec.Instant(obs.LayerServing, "llm_expired", r.ID, int(r.Class), s.obsDev, int64(wait))
 	s.congest(now)
 	s.releaseAdmission(r)
+	s.dev.ReleaseOwner(r.ID)
 	r.Abort(ErrExpired, now)
 	return true
 }
@@ -736,6 +751,7 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 		if s.limiter != nil && (s.cfg.TTFTDeadline <= 0 || r.TTFT() <= s.cfg.TTFTDeadline) {
 			s.limiter.OnSuccess(cost)
 		}
+		s.dev.ReleaseOwner(r.ID)
 		r.Complete(now)
 	default:
 		s.batch.Admit(r)
@@ -746,7 +762,7 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 // exhaustion), executes one fused decode kernel, and retires sequences that
 // met their budget — the token boundary where membership changes.
 func (s *LLMServer) runDecodeStep(p *sim.Proc) {
-	grown := make(map[*llm.Request]bool, len(s.batch.Running()))
+	grown := s.stepGrown
 growth:
 	for {
 		for _, r := range s.batch.Running() {
@@ -779,7 +795,11 @@ growth:
 		}
 		break
 	}
-	running := append([]*llm.Request(nil), s.batch.Running()...)
+	clear(grown)
+	// Snapshot the membership: retiring sequences Leave the batch below.
+	running := append(s.stepRun[:0], s.batch.Running()...)
+	s.stepRun = running
+	defer clear(running)
 	if len(running) == 0 {
 		return
 	}
@@ -792,7 +812,7 @@ growth:
 	}
 	start := p.Now()
 	for {
-		k := &gpu.Kernel{Owner: -1, Stream: 0, Duration: dur, Occupancy: 1}
+		k := &gpu.Kernel{Owner: decodeOwner, Stream: 0, Duration: dur, Occupancy: 1}
 		s.dev.Submit(k).Wait(p)
 		if k.Err == nil {
 			break
@@ -858,6 +878,7 @@ func (s *LLMServer) bookComplete(r *llm.Request, now sim.Time) {
 			s.limiter.OnSuccess(cost)
 		}
 	}
+	s.dev.ReleaseOwner(r.ID)
 	r.Complete(now)
 }
 
@@ -874,6 +895,7 @@ func (s *LLMServer) bookFail(r *llm.Request, err error, now sim.Time) {
 		s.partialsC.Inc()
 	}
 	s.releaseAdmission(r)
+	s.dev.ReleaseOwner(r.ID)
 	r.Abort(err, now)
 }
 

@@ -2,6 +2,8 @@ package serving
 
 import (
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -364,4 +366,25 @@ func TestLLMStepTimeBudgetLimitsBatch(t *testing.T) {
 		t.Fatalf("stats %+v, want 6 completed", st)
 	}
 	checkLLMConservation(t, srv)
+}
+
+// TestLLMServerWeightsTooLargeNamesSizes: the device's out-of-memory error
+// is a bare sentinel, so the construction error must carry the diagnostics
+// itself — model, weight bytes and device memory — and still match it.
+func TestLLMServerWeightsTooLargeNamesSizes(t *testing.T) {
+	weights, err := model.LLMWeightsBytes(model.LLMTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec(t, 0)
+	spec.MemoryBytes = weights - 1
+	_, err = NewLLMServer(sim.NewEnv(1), LLMConfig{Spec: spec, Model: model.LLMTiny})
+	if !errors.Is(err, gpu.ErrOutOfMemory) {
+		t.Fatalf("err = %v, want a wrapped gpu.ErrOutOfMemory", err)
+	}
+	for _, want := range []string{model.LLMTiny, strconv.FormatInt(weights, 10), strconv.FormatInt(spec.MemoryBytes, 10)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
 }

@@ -16,7 +16,7 @@
 set -euo pipefail
 
 ref=${1:?usage: scripts/identical-reports.sh <git-ref>}
-experiments=(cluster chaos sharded recovery fig11 fig13 overload ext-multigpu)
+experiments=(cluster chaos sharded recovery fig11 fig13 overload ext-multigpu llm llmoverload)
 
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
