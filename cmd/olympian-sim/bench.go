@@ -7,6 +7,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -19,7 +20,9 @@ import (
 	"time"
 
 	"olympian/internal/cluster"
+	"olympian/internal/executor"
 	"olympian/internal/gpu"
+	"olympian/internal/graph"
 	"olympian/internal/model"
 	"olympian/internal/obs"
 	"olympian/internal/overload"
@@ -59,7 +62,9 @@ func benchSuite() []struct {
 	}{
 		{"sim/event_throughput", benchEventThroughput},
 		{"sim/proc_switch", benchProcSwitch},
+		{"sim/proc_handoff", benchProcHandoff},
 		{"gpu/kernel_dispatch", benchKernelDispatch},
+		{"executor/gpu_node", benchGPUNode},
 		{"gpu/dispatch_after_100k_batches", benchDispatchAfterBatches},
 		{"model/build_uncached", benchModelBuild},
 		{"experiments/run_many_speedup", benchRunManySpeedup},
@@ -131,6 +136,84 @@ func benchProcSwitch(b *testing.B) {
 	b.ResetTimer()
 	if err := env.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// benchProcHandoff measures one hand-off between two processes that take
+// turns through a pair of condition variables. Unlike sim/proc_switch,
+// where the sleeper is always next and resumes in place, every op here
+// suspends one coroutine to the driver and resumes the other.
+func benchProcHandoff(b *testing.B) {
+	env := sim.NewEnv(1)
+	ping, pong := env.NewCond("ping"), env.NewCond("pong")
+	turn := 0
+	env.Go("pong", func(p *sim.Proc) {
+		for {
+			for turn != 1 {
+				pong.Wait(p)
+			}
+			turn = 0
+			ping.Signal()
+		}
+	}).SetDaemon(true)
+	env.Go("ping", func(p *sim.Proc) {
+		for i := 0; i < b.N; i += 2 {
+			turn = 1
+			pong.Signal()
+			for turn != 0 {
+				ping.Wait(p)
+			}
+		}
+	})
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	env.Shutdown()
+}
+
+// chainHooks aborts a job once n of its GPU nodes have run.
+type chainHooks struct {
+	executor.NopHooks
+	eng  *executor.Engine
+	n    int
+	done int
+}
+
+var errChainDone = errors.New("bench: chain complete")
+
+func (h *chainHooks) NodeDone(p *sim.Proc, job *executor.Job, n *graph.Node) {
+	if !n.IsGPU() {
+		return
+	}
+	if h.done++; h.done == h.n {
+		h.eng.AbortJob(p, job, errChainDone)
+	}
+}
+
+// benchGPUNode measures one pool-thread GPU node round trip through the
+// executor: the node is handed to a pool thread, which launches its kernel,
+// waits for the device and returns to the idle pool. The graph is a single
+// async GPU node that is its own child, so the job is an endless chain of
+// such round trips; the hooks abort it after b.N nodes.
+func benchGPUNode(b *testing.B) {
+	env := sim.NewEnv(1)
+	h := &chainHooks{n: b.N}
+	h.eng = executor.New(env, gpu.New(env, gpu.GTX1080Ti), executor.Config{}, h)
+	node := &graph.Node{Op: "k", Device: graph.GPU, Duration: 100 * time.Microsecond, Occupancy: 1, Async: true}
+	node.Children = []*graph.Node{node}
+	root := &graph.Node{Op: "root", Device: graph.CPU, Children: []*graph.Node{node}}
+	job := h.eng.NewJob(1, &graph.Graph{Model: "chain", BatchSize: 1, Root: root})
+	env.Go("session", func(p *sim.Proc) { h.eng.Run(p, job) })
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	env.Shutdown()
+	if !errors.Is(job.Err(), errChainDone) {
+		b.Fatalf("chain ended with %v after %d nodes, want %d nodes", job.Err(), h.done, b.N)
 	}
 }
 

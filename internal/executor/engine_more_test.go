@@ -184,3 +184,32 @@ func TestKernelSlicingLeavesSmallKernelsAlone(t *testing.T) {
 		t.Fatalf("%d launches for a sub-slice kernel, want 1", got)
 	}
 }
+
+// TestGPUNodeRoundTripAllocs: handing an async GPU node to a pool thread,
+// which launches the node's kernel, waits for it and rejoins the gang,
+// allocates nothing once the pool thread, the engine's kernel free list and
+// the waiter arrays are warm.
+func TestGPUNodeRoundTripAllocs(t *testing.T) {
+	env := sim.NewEnv(1)
+	eng := New(env, gpu.New(env, gpu.GTX1080Ti), Config{}, nil)
+	g := wideGraph(t, 1, 100*time.Microsecond, 1)
+	node := g.Root.Children[0]
+	var avg float64
+	env.Go("session", func(p *sim.Proc) {
+		job := eng.NewJob(1, g)
+		round := func() {
+			job.wg.Add(1)
+			eng.pool.submitNode(job, node)
+			job.wg.Wait(p)
+		}
+		round() // warm: spawn the pool thread, fill the kernel free list
+		avg = testing.AllocsPerRun(200, round)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Shutdown()
+	if avg > 0 {
+		t.Fatalf("pool-thread GPU node round trip allocates %.2f/op, want 0", avg)
+	}
+}

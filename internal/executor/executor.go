@@ -170,6 +170,7 @@ type Engine struct {
 	jobSeq        int
 	taxOf         map[*graph.Graph]float64
 	kernelRetries int
+	kernels       []*gpu.Kernel // free list: completed kernels ready for resubmission
 
 	jobsC    *obs.Series
 	retriesC *obs.Series
@@ -205,6 +206,7 @@ func New(env *sim.Env, dev *gpu.Device, cfg Config, hooks Hooks) *Engine {
 		pool:  NewThreadPool(env, cfg.ThreadPoolSize),
 		taxOf: make(map[*graph.Graph]float64),
 	}
+	e.pool.runNode = e.runNode
 	reg := cfg.Obs.Registry()
 	devLabel := strconv.Itoa(cfg.Device)
 	e.jobsC = reg.Counter("olympian_executor_jobs_total", "Jobs executed.", "device", devLabel)
@@ -302,14 +304,17 @@ func (e *Engine) process(p *sim.Proc, job *Job, root *graph.Node) {
 				queue = append(queue, child)
 				continue
 			}
-			child := child
 			job.wg.Add(1)
-			e.pool.Submit(job.ID, func(w *sim.Proc) {
-				e.process(w, job, child)
-				job.wg.Done()
-			})
+			e.pool.submitNode(job, child)
 		}
 	}
+}
+
+// runNode is a pool thread's task: process the async subtree rooted at n,
+// then leave the job's gang.
+func (e *Engine) runNode(p *sim.Proc, job *Job, n *graph.Node) {
+	e.process(p, job, n)
+	job.wg.Done()
 }
 
 // compute executes a single node on the calling thread: CPU nodes burn
@@ -353,27 +358,28 @@ func (e *Engine) compute(p *sim.Proc, job *Job, n *graph.Node) {
 // middleware's point of view. It reports whether the kernel succeeded.
 func (e *Engine) submitKernel(p *sim.Proc, job *Job, n *graph.Node, dur time.Duration) bool {
 	for attempt := 0; ; attempt++ {
-		k := &gpu.Kernel{
-			Owner:     job.ID,
-			Stream:    job.Client,
-			Duration:  dur,
-			Occupancy: n.Occupancy,
-		}
+		k := e.kernel()
+		k.Owner = job.ID
+		k.Stream = job.Client
+		k.Duration = dur
+		k.Occupancy = n.Occupancy
 		e.dev.Submit(k)
 		k.Done.Wait(p)
-		if k.Err == nil {
+		err := k.Err
+		e.kernels = append(e.kernels, k)
+		if err == nil {
 			return true
 		}
-		if errors.Is(k.Err, faults.ErrDeviceCrashed) {
+		if errors.Is(err, faults.ErrDeviceCrashed) {
 			// The device is gone, not glitching: retrying against a dead
 			// device would spin the retry budget on instant failures. Abort
 			// immediately so the serving layer can fail the batch over.
-			e.AbortJob(p, job, fmt.Errorf("executor: job %d node %d: %w", job.ID, n.ID, k.Err))
+			e.AbortJob(p, job, fmt.Errorf("executor: job %d node %d: %w", job.ID, n.ID, err))
 			return false
 		}
 		if attempt >= e.cfg.KernelRetries {
 			e.AbortJob(p, job, fmt.Errorf("executor: job %d node %d: %w (gave up after %d attempts)",
-				job.ID, n.ID, k.Err, attempt+1))
+				job.ID, n.ID, err, attempt+1))
 			return false
 		}
 		e.kernelRetries++
@@ -386,6 +392,19 @@ func (e *Engine) submitKernel(p *sim.Proc, job *Job, n *graph.Node, dur time.Dur
 			return false
 		}
 	}
+}
+
+// kernel takes a completed kernel from the engine's free list, or a new one
+// when it is empty; submitKernel returns each kernel once its Done fired.
+func (e *Engine) kernel() *gpu.Kernel {
+	n := len(e.kernels)
+	if n == 0 {
+		return &gpu.Kernel{}
+	}
+	k := e.kernels[n-1]
+	e.kernels[n-1] = nil
+	e.kernels = e.kernels[:n-1]
+	return k
 }
 
 // computeSliced runs a GPU node as a sequence of kernel slices with a

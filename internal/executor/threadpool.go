@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"olympian/internal/graph"
 	"olympian/internal/sim"
 )
 
@@ -22,6 +23,10 @@ type ThreadPool struct {
 	// task for each job.
 	perJob map[int]int
 
+	// runNode executes the graph-node tasks of submitNode; the engine sets
+	// it once, so handing a node to a thread builds no closure.
+	runNode func(p *sim.Proc, job *Job, n *graph.Node)
+
 	stats PoolStats
 }
 
@@ -37,15 +42,19 @@ type PoolStats struct {
 	Completed int
 }
 
+// task is one unit of pool work: fn, or else node of job via runNode.
 type task struct {
 	jobID int
 	fn    func(p *sim.Proc)
+	job   *Job
+	node  *graph.Node
 }
 
 type worker struct {
-	cond *sim.Cond
-	next *task
-	stop bool
+	cond    *sim.Cond
+	next    task
+	hasNext bool
+	stop    bool
 }
 
 // NewThreadPool returns a pool that will grow up to max threads.
@@ -57,11 +66,20 @@ func NewThreadPool(env *sim.Env, max int) *ThreadPool {
 // thread is available and the pool is at its limit, the task is delayed
 // until one frees up.
 func (tp *ThreadPool) Submit(jobID int, fn func(p *sim.Proc)) {
-	t := task{jobID: jobID, fn: fn}
+	tp.submit(task{jobID: jobID, fn: fn})
+}
+
+// submitNode schedules the execution of node n of job on a pool thread, as
+// Submit does, through the pool's runNode handler.
+func (tp *ThreadPool) submitNode(job *Job, n *graph.Node) {
+	tp.submit(task{jobID: job.ID, job: job, node: n})
+}
+
+func (tp *ThreadPool) submit(t task) {
 	if n := len(tp.idle); n > 0 {
 		w := tp.idle[n-1]
 		tp.idle = tp.idle[:n-1]
-		w.next = &t
+		w.next, w.hasNext = t, true
 		w.cond.Signal()
 		return
 	}
@@ -76,35 +94,39 @@ func (tp *ThreadPool) Submit(jobID int, fn func(p *sim.Proc)) {
 func (tp *ThreadPool) spawn(first task) {
 	tp.total++
 	tp.stats.Spawned++
-	w := &worker{cond: tp.env.NewCond("pool-worker"), next: &first}
+	w := &worker{cond: tp.env.NewCond("pool-worker"), next: first, hasNext: true}
 	p := tp.env.Go("pool-worker", func(p *sim.Proc) { tp.workerLoop(p, w) })
 	p.SetDaemon(true)
 }
 
 func (tp *ThreadPool) workerLoop(p *sim.Proc, w *worker) {
 	for {
-		for w.next == nil && !w.stop {
+		for !w.hasNext && !w.stop {
 			w.cond.Wait(p)
 		}
 		if w.stop {
 			return
 		}
-		t := *w.next
-		w.next = nil
+		t := w.next
+		w.next, w.hasNext = task{}, false
 		tp.perJob[t.jobID]++
 		if used := tp.InUse(); used > tp.stats.PeakInUse {
 			tp.stats.PeakInUse = used
 		}
-		t.fn(p)
+		if t.fn != nil {
+			t.fn(p)
+		} else {
+			tp.runNode(p, t.job, t.node)
+		}
 		tp.perJob[t.jobID]--
 		if tp.perJob[t.jobID] == 0 {
 			delete(tp.perJob, t.jobID)
 		}
 		tp.stats.Completed++
 		if len(tp.backlog) > 0 {
-			next := tp.backlog[0]
+			w.next, w.hasNext = tp.backlog[0], true
+			tp.backlog[0] = task{}
 			tp.backlog = tp.backlog[1:]
-			w.next = &next
 			continue
 		}
 		tp.idle = append(tp.idle, w)

@@ -79,6 +79,14 @@ var (
 )
 
 // Kernel is one unit of GPU work submitted by the middleware.
+//
+// A Kernel may be submitted again once its Done event has fired, to the
+// same device or another one: Submit re-arms Done, clears Err and runs the
+// kernel as if it were fresh. Submitting a kernel whose Done exists but has
+// not fired — one still queued or running — panics. Reuse saves the
+// submitter the kernel, its Done event and the driver's per-dispatch
+// callbacks, which are bound once per device (and rebound after a crash);
+// the executor's kernel free list relies on it.
 type Kernel struct {
 	// Owner is the job the kernel belongs to. The device does not act on
 	// it (the driver is DNN-unaware); it is used only for accounting.
@@ -99,6 +107,15 @@ type Kernel struct {
 
 	seq      uint64
 	queuedAt sim.Time
+
+	// Launch and execute completions, bound to boundDev at boundEpoch. A
+	// crash bumps the device epoch, so callbacks still scheduled from before
+	// it see a stale epoch and do nothing, while the next dispatch binds a
+	// fresh pair.
+	onLaunched func()
+	onExecuted func()
+	boundDev   *Device
+	boundEpoch uint64
 
 	// Lifecycle spans covering the launch/H2D phase and the execution
 	// phase; zero (no-op) when the device has no recorder.
@@ -134,10 +151,42 @@ type Stats struct {
 // stream is one submission queue.
 type stream struct {
 	id     int
-	rank   uint64 // creation order
-	queue  []*Kernel
+	rank   uint64    // creation order
+	queue  []*Kernel // queue[head:] wait in FIFO order
+	head   int
 	weight float64
 	closed bool // CloseStream called: reap once the queue is empty
+}
+
+// front returns the oldest queued kernel.
+func (st *stream) front() *Kernel { return st.queue[st.head] }
+
+// empty reports whether no kernel is queued.
+func (st *stream) empty() bool { return st.head == len(st.queue) }
+
+// push appends k. Once the dispatched prefix is at least half the slice it
+// is slid out, so the backing array stays bounded by the peak backlog.
+func (st *stream) push(k *Kernel) {
+	if st.head > 0 && st.head >= len(st.queue)/2 {
+		n := copy(st.queue, st.queue[st.head:])
+		clear(st.queue[n:])
+		st.queue = st.queue[:n]
+		st.head = 0
+	}
+	st.queue = append(st.queue, k)
+}
+
+// pop removes and returns the oldest queued kernel. A drained queue keeps
+// its backing array for the stream's next submission.
+func (st *stream) pop() *Kernel {
+	k := st.queue[st.head]
+	st.queue[st.head] = nil
+	st.head++
+	if st.empty() {
+		st.queue = st.queue[:0]
+		st.head = 0
+	}
+	return k
 }
 
 // ownerState is one job's accounting on the device.
@@ -250,11 +299,18 @@ func (d *Device) Observe(r *obs.Recorder, device int) {
 }
 
 // Submit enqueues a kernel on its stream; the driver dispatches it when
-// capacity allows. It returns the kernel's completion event.
+// capacity allows. It returns the kernel's completion event. A kernel whose
+// Done has fired may be submitted again (see Kernel).
 func (d *Device) Submit(k *Kernel) *sim.Event {
-	if k.Done == nil {
+	switch {
+	case k.Done == nil:
 		k.Done = d.env.NewEvent()
+	case !k.Done.Triggered():
+		panic("gpu: Submit of a kernel that is still queued or running")
+	default:
+		k.Done.Reset()
 	}
+	k.Err = nil
 	if d.dead {
 		// Fail fast: a dead (or still warming) device queues nothing, so the
 		// executor can abort the job immediately instead of wedging on a
@@ -275,10 +331,10 @@ func (d *Device) Submit(k *Kernel) *sim.Event {
 		st = &stream{id: k.Stream, rank: d.streamSeq, weight: d.drawWeight()}
 		d.streams[k.Stream] = st
 	}
-	if len(st.queue) == 0 {
+	if st.empty() {
 		d.enlist(st)
 	}
-	st.queue = append(st.queue, k)
+	st.push(k)
 	d.queued++
 	if d.queued > d.stats.QueuePeak {
 		d.stats.QueuePeak = d.queued
@@ -314,7 +370,7 @@ func (d *Device) CloseStream(id int) {
 	if st == nil {
 		return
 	}
-	if len(st.queue) == 0 {
+	if st.empty() {
 		delete(d.streams, id)
 		return
 	}
@@ -452,11 +508,13 @@ func (d *Device) crash(recovery time.Duration) {
 		k.Done.Trigger()
 	}
 	for _, st := range d.live {
-		for _, k := range st.queue {
+		for _, k := range st.queue[st.head:] {
 			k.Err = faults.ErrDeviceCrashed
 			k.Done.Trigger()
 		}
-		st.queue = nil
+		clear(st.queue)
+		st.queue = st.queue[:0]
+		st.head = 0
 		if st.closed {
 			delete(d.streams, st.id)
 		}
@@ -648,11 +706,11 @@ func (d *Device) pump() {
 	for len(d.live) > 0 {
 		oldest := d.live[0]
 		for _, st := range d.live[1:] {
-			if st.queue[0].seq < oldest.queue[0].seq {
+			if st.front().seq < oldest.front().seq {
 				oldest = st
 			}
 		}
-		head := oldest.queue[0]
+		head := oldest.front()
 		if !d.fits(head) && d.env.Now().Sub(head.queuedAt) >= maxBypassWait {
 			return // age barrier: wait for drain
 		}
@@ -660,7 +718,7 @@ func (d *Device) pump() {
 		// a second time in the same order, so it allocates nothing.
 		pick, n, total := -1, 0, 0.0
 		for i, st := range d.live {
-			if d.fits(st.queue[0]) {
+			if d.fits(st.front()) {
 				if n == 0 {
 					pick = i
 				}
@@ -674,7 +732,7 @@ func (d *Device) pump() {
 		if n > 1 {
 			r := d.rand().Float64() * total
 			for i, st := range d.live {
-				if !d.fits(st.queue[0]) {
+				if !d.fits(st.front()) {
 					continue
 				}
 				r -= st.weight
@@ -685,13 +743,8 @@ func (d *Device) pump() {
 			}
 		}
 		st := d.live[pick]
-		k := st.queue[0]
-		st.queue[0] = nil
-		st.queue = st.queue[1:]
-		if len(st.queue) == 0 {
-			// Drop the drained slice: queue[1:] would still pin its
-			// backing array.
-			st.queue = nil
+		k := st.pop()
+		if st.empty() {
 			copy(d.live[pick:], d.live[pick+1:])
 			d.live[len(d.live)-1] = nil
 			d.live = d.live[:len(d.live)-1]
@@ -721,14 +774,34 @@ func (d *Device) begin(k *Kernel) {
 	o.resident++
 	d.kernelsC.Inc()
 	k.launchSpan = d.rec.StartSpan(obs.LayerGPU, "h2d", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream))
+	k.execSpan = 0
 	d.resident = append(d.resident, k)
+	d.bind(k)
+	d.env.Schedule(d.spec.LaunchLatency, k.onLaunched)
+}
+
+// bind gives k launch and execute callbacks for this device at the current
+// epoch, reusing the pair from k's previous dispatch when both still match.
+// Each closure keeps the epoch it was bound at: after a crash, callbacks
+// still queued from before it find the epoch moved on and do nothing
+// (crash() already failed their kernel), even if k has been dispatched again
+// since under a fresh pair.
+func (d *Device) bind(k *Kernel) {
+	if k.boundDev == d && k.boundEpoch == d.epoch {
+		return
+	}
 	ep := d.epoch
-	d.env.Schedule(d.spec.LaunchLatency, func() {
-		if d.epoch != ep {
-			return // device crashed; crash() already failed this kernel
+	k.boundDev, k.boundEpoch = d, ep
+	k.onLaunched = func() {
+		if d.epoch == ep {
+			d.execStart(k)
 		}
-		d.execStart(k)
-	})
+	}
+	k.onExecuted = func() {
+		if d.epoch == ep {
+			d.finish(k)
+		}
+	}
 }
 
 func (d *Device) execStart(k *Kernel) {
@@ -745,13 +818,7 @@ func (d *Device) execStart(k *Kernel) {
 		o.start = now
 	}
 	o.active++
-	ep := d.epoch
-	d.env.Schedule(time.Duration(float64(k.Duration)/d.spec.ClockScale), func() {
-		if d.epoch != ep {
-			return // device crashed; crash() already failed this kernel
-		}
-		d.finish(k)
-	})
+	d.env.Schedule(time.Duration(float64(k.Duration)/d.spec.ClockScale), k.onExecuted)
 }
 
 func (d *Device) finish(k *Kernel) {

@@ -224,6 +224,10 @@ type LLMServer struct {
 	stepGrown map[*llm.Request]bool
 	stepRun   []*llm.Request
 
+	// kern is resubmitted for every prefill pass and decode step: the
+	// engine runs one at a time, so one kernel serves them all.
+	kern gpu.Kernel
+
 	reqCount int
 	requests []*llm.Request // retained unless Slim
 
@@ -705,12 +709,11 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 	}
 	start := p.Now()
 	for {
-		k := &gpu.Kernel{Owner: r.ID, Stream: 0, Duration: dur, Occupancy: 1}
-		s.dev.Submit(k).Wait(p)
-		if k.Err == nil {
+		err := s.runKernel(p, r.ID, dur)
+		if err == nil {
 			break
 		}
-		if errors.Is(k.Err, faults.ErrDeviceCrashed) {
+		if errors.Is(err, faults.ErrDeviceCrashed) {
 			if !r.Finished() {
 				s.kv.Release(r.ID)
 				s.bookFail(r, ErrDrained, p.Now())
@@ -756,6 +759,15 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 	default:
 		s.batch.Admit(r)
 	}
+}
+
+// runKernel runs the server's kernel for owner on the device and returns
+// its error once it completes.
+func (s *LLMServer) runKernel(p *sim.Proc, owner int, dur time.Duration) error {
+	k := &s.kern
+	k.Owner, k.Stream, k.Duration, k.Occupancy = owner, 0, dur, 1
+	s.dev.Submit(k).Wait(p)
+	return k.Err
 }
 
 // runDecodeStep grows every running sequence by one token (preempting on
@@ -812,12 +824,11 @@ growth:
 	}
 	start := p.Now()
 	for {
-		k := &gpu.Kernel{Owner: decodeOwner, Stream: 0, Duration: dur, Occupancy: 1}
-		s.dev.Submit(k).Wait(p)
-		if k.Err == nil {
+		err := s.runKernel(p, decodeOwner, dur)
+		if err == nil {
 			break
 		}
-		if errors.Is(k.Err, faults.ErrDeviceCrashed) {
+		if errors.Is(err, faults.ErrDeviceCrashed) {
 			for _, r := range running {
 				if r.Finished() {
 					continue

@@ -126,3 +126,41 @@ func TestCondWaitSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("Cond.Wait park path allocates %.2f/op, want 0", avg)
 	}
 }
+
+// TestCondPingPongAllocs: two processes alternating through a pair of
+// condition variables switch coroutines via the driver on every hand-off,
+// and that path allocates nothing.
+func TestCondPingPongAllocs(t *testing.T) {
+	env := NewEnv(1)
+	warmHeap(t, env, 64)
+	ping, pong := env.NewCond("ping"), env.NewCond("pong")
+	turn := 0
+	env.Go("pong", func(p *Proc) {
+		for {
+			for turn != 1 {
+				pong.Wait(p)
+			}
+			turn = 0
+			ping.Signal()
+		}
+	}).SetDaemon(true)
+	var avg float64
+	env.Go("ping", func(p *Proc) {
+		round := func() {
+			turn = 1
+			pong.Signal()
+			for turn != 0 {
+				ping.Wait(p)
+			}
+		}
+		round() // settle: both waiter arrays exist
+		avg = testing.AllocsPerRun(500, round)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Shutdown()
+	if avg > 0 {
+		t.Fatalf("two-proc Cond ping-pong allocates %.2f/op, want 0", avg)
+	}
+}

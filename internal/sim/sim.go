@@ -1,5 +1,5 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
-// kernel with goroutine-backed processes.
+// kernel with coroutine-backed processes.
 //
 // The kernel substitutes for wall-clock concurrency in the Olympian
 // reproduction: simulated CPU threads (Proc) block and resume on the same
@@ -8,13 +8,18 @@
 // and same-timestamp events fire in a stable (time, sequence) order, so every
 // experiment is reproducible from its seed.
 //
-// Concurrency model: the event loop and all processes pass a single "baton".
-// Whichever goroutine holds the baton runs the event loop in place (see
-// runLoop); dispatching another process hands the baton over its resume
-// channel, and when a dispatched process happens to be the one that just
-// parked, the loop returns directly into it with no channel traffic at all.
-// Process code therefore runs under total mutual exclusion and may freely
-// mutate shared simulation state between blocking points without locks.
+// Concurrency model: every process is a runtime coroutine (iter.Pull) and
+// the event loop runs on the driver — the goroutine that called Run,
+// RunUntil or RunWindow. The driver pops events, runs callbacks inline and
+// resumes a process's coroutine when its wake-up is popped. A parking
+// process first runs the loop in place: it executes callback events itself
+// and, when its own wake-up is next, returns straight into its caller with
+// no switch at all. Only when another process's wake-up is at the head does
+// it suspend to the driver, which then resumes that process. A coroutine
+// switch is a direct hand-off between two goroutines with no scheduler
+// round trip, and process code runs under total mutual exclusion, so it may
+// freely mutate shared simulation state between blocking points without
+// locks.
 //
 // Event representation: the queue is a 4-ary min-heap of event values —
 // no container/heap interface boxing, no per-event pointer allocation. An
@@ -123,15 +128,12 @@ type Env struct {
 	seq    uint64
 	rng    *rand.Rand
 
-	mainCh  chan struct{} // returns the baton to Run's goroutine
-	cur     *Proc
 	live    int // non-daemon procs that have started and not yet exited
 	procs   map[*Proc]struct{}
 	procSeq int
 
-	stopped  bool
-	shutdown bool
-	limit    Time // 0 means no limit
+	stopped bool
+	limit   Time // 0 means no limit
 
 	// Heartbeats fire at fixed virtual-time boundaries without occupying
 	// the event queue: the run loop checks hbNext (maxTime when none are
@@ -159,7 +161,6 @@ const maxTime = Time(1<<63 - 1)
 func NewEnv(seed int64) *Env {
 	return &Env{
 		rng:    rand.New(rand.NewSource(seed)),
-		mainCh: make(chan struct{}),
 		procs:  make(map[*Proc]struct{}),
 		hbNext: maxTime,
 	}
@@ -257,16 +258,19 @@ func (e *Env) ScheduleAt(t Time, fn func()) {
 	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
-// Proc is a simulated thread of control backed by a goroutine.
+// Proc is a simulated thread of control backed by a coroutine.
 type Proc struct {
 	env    *Env
 	id     int
 	name   string
-	resume chan struct{}
 	why    string // blocking reason while parked, for deadlock reports
 	dead   bool
 	daemon bool
 	killed bool
+
+	resume  func() (struct{}, bool) // driver side: run the proc until it parks or exits
+	stop    func()                  // driver side: unwind a parked proc (Shutdown)
+	suspend func(struct{}) bool     // proc side: hand control back to the driver
 }
 
 // killSentinel unwinds a killed process's stack during Env.Shutdown.
@@ -302,27 +306,29 @@ func (p *Proc) Now() Time { return p.env.now }
 // It may be called before Run or from process/event context during a run.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
-	p := &Proc{env: e, id: e.procSeq, name: name, resume: make(chan struct{}), why: "start"}
+	p := &Proc{env: e, id: e.procSeq, name: name, why: "start"}
 	e.live++
 	e.procs[p] = struct{}{}
-	go func() {
-		<-p.resume // wait for first dispatch
+	p.resume, p.stop = newCoroutine(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
 		if !p.killed {
 			runKillable(fn, p)
 		}
-		p.dead = true
-		if !p.daemon {
-			e.live--
-		}
-		delete(e.procs, p)
-		if e.shutdown {
-			e.mainCh <- struct{}{}
-			return
-		}
-		e.runLoop(p, true)
-	}()
+		p.exit()
+	})
 	e.scheduleProc(0, p)
 	return p
+}
+
+// exit retires a process whose function has returned or been unwound,
+// dropping its coroutine so a still-referenced Proc pins no coroutine state.
+func (p *Proc) exit() {
+	p.resume, p.stop, p.suspend = nil, nil, nil
+	p.dead = true
+	if !p.daemon {
+		p.env.live--
+	}
+	delete(p.env.procs, p)
 }
 
 // runKillable executes fn, converting the kill sentinel panic used by
@@ -338,46 +344,35 @@ func runKillable(fn func(*Proc), p *Proc) {
 	fn(p)
 }
 
-// Shutdown terminates all remaining processes (including daemons), allowing
-// their goroutines to exit. Call it once after Run returns; the environment
-// must not be used afterwards.
+// Shutdown terminates all remaining processes (including daemons), unwinding
+// parked ones through their deferred calls and discarding never-started
+// ones, so every coroutine goroutine exits. Call it once after Run returns;
+// the environment must not be used afterwards.
 func (e *Env) Shutdown() {
-	e.shutdown = true
 	for p := range e.procs {
 		if p.dead {
 			continue
 		}
 		p.killed = true
-		e.cur = p
-		p.resume <- struct{}{}
-		<-e.mainCh
+		p.stop()
+		if !p.dead { // never started: its body did not run
+			p.exit()
+		}
 	}
-	e.cur = nil
 }
 
-// runLoop executes queued events on the calling goroutine. Exactly one
-// goroutine runs it at a time: the baton travels with control flow. self is
-// nil when Run's goroutine is looping; otherwise self just parked (or, with
-// exiting set, is about to die) and hands the baton onward.
-//
-// Fast path: when the next event resumes self, the loop returns straight
-// into it — a process that sleeps and is the next to run costs zero channel
-// operations and zero goroutine switches.
-func (e *Env) runLoop(self *Proc, exiting bool) {
-	for {
-		if len(e.events) == 0 || e.stopped || (e.limit > 0 && e.events[0].at > e.limit) {
-			// The run is over (for now): return the baton to Run's goroutine.
-			e.cur = nil
-			if self == nil {
-				return
-			}
-			e.mainCh <- struct{}{}
-			if exiting {
-				return
-			}
-			self.block() // until a later Run dispatches us again
-			return
-		}
+// runnable reports whether the head event may execute: the queue is not
+// empty, Stop was not called and the head is within the time limit.
+func (e *Env) runnable() bool {
+	return len(e.events) > 0 && !e.stopped && (e.limit <= 0 || e.events[0].at <= e.limit)
+}
+
+// runLoop executes queued events on the driver until the run is over (for
+// now). Callbacks run inline; a popped process wake-up resumes that
+// process's coroutine, which returns here when it next parks behind another
+// process's wake-up, parks at the end of the run, or exits.
+func (e *Env) runLoop() {
+	for e.runnable() {
 		ev := e.events.pop()
 		if ev.at > e.hbNext {
 			e.fireHeartbeats(ev.at)
@@ -393,37 +388,44 @@ func (e *Env) runLoop(self *Proc, exiting bool) {
 		}
 		e.now = ev.at
 		q.why = ""
-		if q == self && !exiting {
-			e.cur = self
-			return // fast path: resume ourselves, no channel hop
-		}
-		e.cur = q
-		q.resume <- struct{}{}
-		switch {
-		case self == nil:
-			<-e.mainCh // wait for the baton to come home
-		case exiting:
-			return
-		default:
-			self.block()
-			return
-		}
-	}
-}
-
-// block parks the goroutine until redispatched, unwinding if killed.
-func (p *Proc) block() {
-	<-p.resume
-	if p.killed {
-		panic(killSentinel{})
+		q.resume()
 	}
 }
 
 // park records why the process is blocked and runs the event loop in place
 // until something redispatches it.
+//
+// Fast path: callbacks run right here on the process's coroutine, and when
+// the process's own wake-up comes up it simply returns — a process that
+// sleeps and is the next to run costs no switch at all. Otherwise, when
+// another process's wake-up is at the head or the run is over, it suspends
+// to the driver, which pops that head next.
 func (p *Proc) park(why string) {
 	p.why = why
-	p.env.runLoop(p, false)
+	e := p.env
+	for e.runnable() {
+		if q := e.events[0].proc; q != nil && q != p && !q.dead {
+			break
+		}
+		ev := e.events.pop()
+		if ev.at > e.hbNext {
+			e.fireHeartbeats(ev.at)
+		}
+		if ev.proc == nil {
+			e.now = ev.at
+			ev.fn()
+			continue
+		}
+		if ev.proc.dead {
+			continue
+		}
+		e.now = ev.at
+		p.why = ""
+		return
+	}
+	if !p.suspend(struct{}{}) {
+		panic(killSentinel{}) // Shutdown: unwind the process
+	}
 }
 
 // Sleep suspends the process for virtual duration d. Even a zero sleep is a
@@ -445,7 +447,7 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // optional time limit is reached. It returns an error if live processes
 // remain parked with no runnable events (deadlock).
 func (e *Env) Run() error {
-	e.runLoop(nil, false)
+	e.runLoop()
 	if !e.stopped && len(e.events) == 0 && e.live > 0 {
 		return e.deadlockError()
 	}
@@ -466,7 +468,7 @@ func (e *Env) RunUntil(t Time) error {
 // shard coordinator owns the global stuck check (see StuckError).
 func (e *Env) RunWindow(t Time) {
 	e.limit = t
-	e.runLoop(nil, false)
+	e.runLoop()
 	e.limit = 0
 }
 
@@ -505,7 +507,7 @@ func (e *Env) deadlockError() error {
 }
 
 // Event is a one-shot occurrence processes can wait on. Once triggered,
-// subsequent waits return immediately.
+// subsequent waits return immediately until Reset re-arms it.
 type Event struct {
 	env       *Env
 	triggered bool
@@ -520,7 +522,9 @@ func (e *Env) NewEvent() *Event { return &Event{env: e} }
 func (ev *Event) Triggered() bool { return ev.triggered }
 
 // Trigger fires the event, scheduling all waiters to resume at the current
-// time. Triggering an already-triggered event is a no-op.
+// time. Triggering an already-triggered event is a no-op. The waiter list
+// keeps its backing array, so a re-armed event waits again without
+// allocating.
 func (ev *Event) Trigger() {
 	if ev.triggered {
 		return
@@ -529,11 +533,22 @@ func (ev *Event) Trigger() {
 	for _, p := range ev.waiters {
 		ev.env.scheduleProc(0, p)
 	}
-	ev.waiters = nil
+	clear(ev.waiters)
+	ev.waiters = ev.waiters[:0]
 	for _, fn := range ev.subs {
 		ev.env.Schedule(0, fn)
 	}
 	ev.subs = nil
+}
+
+// Reset re-arms the event so it can be waited on and triggered again. It
+// panics when processes or subscribers are still waiting on the untriggered
+// event: re-arming would strand them.
+func (ev *Event) Reset() {
+	if len(ev.waiters) > 0 || len(ev.subs) > 0 {
+		panic("sim: Event.Reset with waiters pending")
+	}
+	ev.triggered = false
 }
 
 // Subscribe registers fn to run in event context when the event triggers;
@@ -564,40 +579,55 @@ func (ev *Event) Wait(p *Proc) {
 //	for !condition() { cond.Wait(p) }
 type Cond struct {
 	env     *Env
-	waiters []*Proc
-	label   string
+	waiters []*Proc // waiters[head:] wait in FIFO order
+	head    int
 	parkWhy string // "cond:"+label, precomputed so Wait never allocates it
 }
 
 // NewCond returns a condition variable; label appears in deadlock reports.
 func (e *Env) NewCond(label string) *Cond {
-	return &Cond{env: e, label: label, parkWhy: "cond:" + label}
+	return &Cond{env: e, parkWhy: "cond:" + label}
 }
 
 // Wait blocks p until another process calls Signal or Broadcast. Callers
 // must re-check their condition in a loop: a wake-up does not imply the
 // condition holds.
 func (c *Cond) Wait(p *Proc) {
+	if c.head > 0 && c.head >= len(c.waiters)/2 {
+		// Slide the live waiters down so the backing array stays bounded
+		// by the peak number of waiters, not by the total ever queued.
+		n := copy(c.waiters, c.waiters[c.head:])
+		clear(c.waiters[n:])
+		c.waiters = c.waiters[:n]
+		c.head = 0
+	}
 	c.waiters = append(c.waiters, p)
 	p.park(c.parkWhy)
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
+	if c.head == len(c.waiters) {
 		return
 	}
-	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	p := c.waiters[c.head]
+	c.waiters[c.head] = nil
+	c.head++
+	if c.head == len(c.waiters) {
+		c.waiters = c.waiters[:0]
+		c.head = 0
+	}
 	c.env.scheduleProc(0, p)
 }
 
 // Broadcast wakes all waiting processes in FIFO order.
 func (c *Cond) Broadcast() {
-	for _, p := range c.waiters {
+	for _, p := range c.waiters[c.head:] {
 		c.env.scheduleProc(0, p)
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
+	c.head = 0
 }
 
 // Semaphore is a counting semaphore for processes.

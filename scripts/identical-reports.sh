@@ -16,7 +16,7 @@
 set -euo pipefail
 
 ref=${1:?usage: scripts/identical-reports.sh <git-ref>}
-experiments=(cluster chaos sharded recovery fig11 fig13 overload ext-multigpu llm llmoverload)
+experiments=(cluster chaos sharded recovery fig3 fig11 fig13 fig15 fig16 overload ext-multigpu ext-slicing llm llmoverload)
 
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
