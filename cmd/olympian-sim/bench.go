@@ -65,6 +65,7 @@ func benchSuite() []struct {
 		{"sim/proc_handoff", benchProcHandoff},
 		{"gpu/kernel_dispatch", benchKernelDispatch},
 		{"executor/gpu_node", benchGPUNode},
+		{"executor/image_chains", benchImageChains},
 		{"gpu/dispatch_after_100k_batches", benchDispatchAfterBatches},
 		{"model/build_uncached", benchModelBuild},
 		{"experiments/run_many_speedup", benchRunManySpeedup},
@@ -215,6 +216,43 @@ func benchGPUNode(b *testing.B) {
 	if !errors.Is(job.Err(), errChainDone) {
 		b.Fatalf("chain ended with %v after %d nodes, want %d nodes", job.Err(), h.done, b.N)
 	}
+}
+
+// benchImageChains measures the paper's per-image preprocessing pattern: a
+// job of 64 async chains of 8 GPU nodes each under an in-flight cap of 2,
+// so most of its pool threads wait on the job's in-flight semaphore at any
+// moment. One op is one whole job, run by the same session process on a
+// warm engine.
+func benchImageChains(b *testing.B) {
+	env := sim.NewEnv(1)
+	eng := executor.New(env, gpu.New(env, gpu.GTX1080Ti), executor.Config{MaxInflight: 2}, nil)
+	root := &graph.Node{Op: "root", Device: graph.CPU}
+	for i := 0; i < 64; i++ {
+		var next *graph.Node
+		for j := 7; j >= 0; j-- {
+			n := &graph.Node{Op: "k", Device: graph.GPU, Duration: 20 * time.Microsecond, Occupancy: 0.1, Async: j == 0}
+			if next != nil {
+				n.Children = []*graph.Node{next}
+			}
+			next = n
+		}
+		root.Children = append(root.Children, next)
+	}
+	g := &graph.Graph{Model: "image-chains", BatchSize: 64, Root: root}
+	if err := g.Finalize(); err != nil {
+		b.Fatal(err)
+	}
+	env.Go("session", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			eng.Run(p, eng.NewJob(1, g))
+		}
+	})
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	env.Shutdown()
 }
 
 func benchKernelDispatch(b *testing.B) {

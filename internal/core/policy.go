@@ -9,7 +9,9 @@ import (
 // Policy selects the job that receives the next quantum. Grant is called at
 // each token hand-off with the active jobs in registration order and the
 // job that held the previous quantum (which may have just deregistered and
-// so may be absent from jobs). Policies may keep state across calls.
+// so may be absent from jobs). Policies may keep state across calls, but
+// not the jobs slice itself: the scheduler reuses its backing array for the
+// next hand-off.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string

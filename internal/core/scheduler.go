@@ -95,13 +95,11 @@ type QuantumRecord struct {
 
 // jobState is the scheduler's bookkeeping for a registered job.
 type jobState struct {
-	job           *executor.Job
-	cond          *sim.Cond
-	profile       *JobProfile
-	cumulated     time.Duration // cumulatedCost of Algorithm 2
-	busySnapshot  time.Duration // device busy at grant time
-	suspendedNow  int           // gang threads currently parked in Yield
-	quantaGranted int
+	job          *executor.Job
+	cond         *sim.Cond
+	profile      *JobProfile
+	cumulated    time.Duration // cumulatedCost of Algorithm 2
+	busySnapshot time.Duration // device busy at grant time
 }
 
 // Scheduler implements executor.Hooks with Olympian's scheduling logic.
@@ -115,11 +113,12 @@ type Scheduler struct {
 
 	jobs   []*jobState // registration order
 	holder *jobState
+	active []*executor.Job // pick's scratch list of registered jobs
 
 	intervalStart sim.Time
 	records       []QuantumRecord
-	pending       *QuantumRecord // last interval, awaiting overflow drain
-	pendingJob    *jobState
+	pending       QuantumRecord // last interval, awaiting overflow drain
+	pendingJob    *jobState     // nil when no interval is staged
 	switches      int
 }
 
@@ -207,28 +206,29 @@ func (s *Scheduler) Deregister(p *sim.Proc, job *executor.Job) {
 	}
 }
 
-// Yield implements executor.Hooks (Algorithm 2 line 12): gang threads of
-// non-holders suspend themselves here until their job regains the token.
-// Threads of an aborted job return immediately so the gang can unwind
-// without waiting for a grant that may never come.
-func (s *Scheduler) Yield(p *sim.Proc, job *executor.Job) {
+// Yield implements executor.Hooks (Algorithm 2 line 12): a gang thread of
+// a non-holder enlists on its job's condition variable and reports false,
+// suspending itself until its job regains the token and grant wakes it to
+// yield again. Threads of an aborted job may always proceed, so the gang can
+// unwind without waiting for a grant that may never come.
+func (s *Scheduler) Yield(p *sim.Proc, job *executor.Job) bool {
 	js := s.state(job)
 	if js == nil {
-		return
+		return true
 	}
-	for s.holder != js {
+	if s.holder != js {
 		if job.Aborted() {
-			return
+			return true
 		}
-		js.suspendedNow++
-		js.cond.Wait(p)
-		js.suspendedNow--
+		js.cond.Enlist(p)
+		return false
 	}
 	// In wall-clock mode a long-running holder may exhaust its slice while
 	// never completing a GPU node; check here too.
-	if s.cfg.Mode == WallClock && s.holder == js && p.Now().Sub(s.intervalStart) >= s.cfg.Quantum {
+	if s.cfg.Mode == WallClock && p.Now().Sub(s.intervalStart) >= s.cfg.Quantum {
 		s.rotate(js)
 	}
+	return true
 }
 
 // Cancel implements executor.JobCanceller: when a job is aborted, its gang
@@ -323,11 +323,11 @@ func (s *Scheduler) pick(last *executor.Job) *jobState {
 	if len(s.jobs) == 0 {
 		return nil
 	}
-	active := make([]*executor.Job, len(s.jobs))
-	for i, js := range s.jobs {
-		active[i] = js.job
+	s.active = s.active[:0]
+	for _, js := range s.jobs {
+		s.active = append(s.active, js.job)
 	}
-	chosen := s.cfg.Policy.Grant(s.rand(), active, last)
+	chosen := s.cfg.Policy.Grant(s.rand(), s.active, last)
 	if chosen == nil {
 		return nil
 	}
@@ -339,7 +339,6 @@ func (s *Scheduler) grant(js *jobState) {
 	s.holder = js
 	s.intervalStart = s.env.Now()
 	js.busySnapshot = s.dev.OwnerBusy(js.job.ID)
-	js.quantaGranted++
 	js.cond.Broadcast()
 }
 
@@ -350,7 +349,7 @@ func (s *Scheduler) grant(js *jobState) {
 func (s *Scheduler) closeInterval(js *jobState) {
 	s.finalizePending()
 	now := s.env.Now()
-	s.pending = &QuantumRecord{
+	s.pending = QuantumRecord{
 		Client:          js.job.Client,
 		JobID:           js.job.ID,
 		Start:           s.intervalStart,
@@ -365,12 +364,12 @@ func (s *Scheduler) closeInterval(js *jobState) {
 // next hand-off happens, the previous holder's overflow kernels have
 // drained, so its busy delta is final.
 func (s *Scheduler) finalizePending() {
-	if s.pending == nil {
+	if s.pendingJob == nil {
 		return
 	}
 	s.pending.GPUDuration = s.dev.OwnerBusy(s.pendingJob.job.ID) - s.pendingJob.busySnapshot
-	s.records = append(s.records, *s.pending)
-	s.pending = nil
+	s.records = append(s.records, s.pending)
+	s.pending = QuantumRecord{}
 	s.pendingJob = nil
 }
 

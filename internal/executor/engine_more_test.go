@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -199,7 +200,7 @@ func TestGPUNodeRoundTripAllocs(t *testing.T) {
 		job := eng.NewJob(1, g)
 		round := func() {
 			job.wg.Add(1)
-			eng.pool.submitNode(job, node)
+			eng.pool.submit(task{job: job, node: node})
 			job.wg.Wait(p)
 		}
 		round() // warm: spawn the pool thread, fill the kernel free list
@@ -211,5 +212,32 @@ func TestGPUNodeRoundTripAllocs(t *testing.T) {
 	env.Shutdown()
 	if avg > 0 {
 		t.Fatalf("pool-thread GPU node round trip allocates %.2f/op, want 0", avg)
+	}
+}
+
+// TestPoolThreadsAddNoGoroutines: pool threads are stackless, so a job
+// whose 100 async GPU chains hold 100 pool threads at once runs on no more
+// goroutines than its session and client processes need.
+func TestPoolThreadsAddNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	env := sim.NewEnv(1)
+	eng := New(env, gpu.New(env, testSpec), Config{}, nil)
+	job := eng.NewJob(1, chainsGraph(t, 100, 2, time.Millisecond, 0.1))
+	env.Go("session", func(p *sim.Proc) { eng.Run(p, job) })
+	var threads, goroutines int
+	env.Go("observer", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		threads = eng.Pool().JobThreads(job.ID)
+		goroutines = runtime.NumGoroutine() - base
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Shutdown()
+	if threads != 100 {
+		t.Fatalf("%d pool threads mid-run, want all 100 chains in flight", threads)
+	}
+	if goroutines > 2 {
+		t.Fatalf("%d goroutines mid-run beyond the baseline, want at most 2 (session and observer)", goroutines)
 	}
 }

@@ -6,15 +6,16 @@
 // CPU threads. The session thread traverses the graph breadth-first; each
 // asynchronous (GPU-backed) child is handed to a thread fetched from the
 // shared pool, which submits the node's kernel to the GPU and blocks until
-// it completes. The engine itself is scheduler-agnostic: a Hooks
-// implementation observes job registration, node boundaries (the paper's
-// yield points, Algorithm 2 line 12) and node completion (cost accumulation,
-// lines 14-18). Vanilla TF-Serving is the engine with NopHooks.
+// it completes. Each gang thread runs the processing loop as a resumable
+// state machine: pool threads are stackless simulated processes, and the
+// session thread drives the same machine on the caller's process. The
+// engine itself is scheduler-agnostic: a Hooks implementation observes job
+// registration, node boundaries (the paper's yield points, Algorithm 2 line
+// 12) and node completion (cost accumulation, lines 14-18). Vanilla
+// TF-Serving is the engine with NopHooks.
 package executor
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 	"strconv"
 	"time"
@@ -66,9 +67,11 @@ type Hooks interface {
 	Register(p *sim.Proc, job *Job)
 	// Deregister is called when a job completes (line 7).
 	Deregister(p *sim.Proc, job *Job)
-	// Yield is called before each node executes (line 12); it may suspend
-	// the calling thread until its job is granted GPU access.
-	Yield(p *sim.Proc, job *Job)
+	// Yield is called before each node executes (line 12) and reports
+	// whether the calling thread may proceed. When it may not, it enlists p
+	// for one wake-up (on the job's condition, say) and returns false; the
+	// thread calls Yield again once woken. It must not block p itself.
+	Yield(p *sim.Proc, job *Job) bool
 	// NodeDone is called after each node executes (lines 14-18): the point
 	// where GPU cost is accumulated and quantum expiry detected.
 	NodeDone(p *sim.Proc, job *Job, n *graph.Node)
@@ -96,7 +99,7 @@ func (NopHooks) Register(*sim.Proc, *Job) {}
 func (NopHooks) Deregister(*sim.Proc, *Job) {}
 
 // Yield implements Hooks.
-func (NopHooks) Yield(*sim.Proc, *Job) {}
+func (NopHooks) Yield(*sim.Proc, *Job) bool { return true }
 
 // NodeDone implements Hooks.
 func (NopHooks) NodeDone(*sim.Proc, *Job, *graph.Node) {}
@@ -171,6 +174,7 @@ type Engine struct {
 	taxOf         map[*graph.Graph]float64
 	kernelRetries int
 	kernels       []*gpu.Kernel // free list: completed kernels ready for resubmission
+	sessions      []*thread     // free list: session-thread states between Runs
 
 	jobsC    *obs.Series
 	retriesC *obs.Series
@@ -203,10 +207,9 @@ func New(env *sim.Env, dev *gpu.Device, cfg Config, hooks Hooks) *Engine {
 		dev:   dev,
 		cfg:   cfg,
 		hooks: hooks,
-		pool:  NewThreadPool(env, cfg.ThreadPoolSize),
 		taxOf: make(map[*graph.Graph]float64),
 	}
-	e.pool.runNode = e.runNode
+	e.pool = newThreadPool(e, cfg.ThreadPoolSize)
 	reg := cfg.Obs.Registry()
 	devLabel := strconv.Itoa(cfg.Device)
 	e.jobsC = reg.Counter("olympian_executor_jobs_total", "Jobs executed.", "device", devLabel)
@@ -266,136 +269,43 @@ func (e *Engine) NewJob(client int, g *graph.Graph) *Job {
 }
 
 // Run executes the job to completion on the calling process (the session
-// thread), implementing Algorithm 1's SESSION::RUN.
+// thread), implementing Algorithm 1's SESSION::RUN. The session thread runs
+// the gang-thread state machine on p, suspending p at each block, so the
+// join and Deregister stay in the event that completes the gang.
 func (e *Engine) Run(p *sim.Proc, job *Job) {
 	job.StartAt = p.Now()
 	span := e.cfg.Obs.StartSpan(obs.LayerExecutor, "job", job.ID, obs.NoClass, e.cfg.Device, int64(job.Client))
 	e.jobsC.Inc()
 	e.hooks.Register(p, job)
-	e.process(p, job, job.Graph.Root)
+	t := e.session()
+	t.begin(job, job.Graph.Root)
+	for !t.run(p) {
+		p.Suspend()
+	}
+	t.job = nil
+	e.sessions = append(e.sessions, t)
 	job.wg.Wait(p) // join the gang: all async subtrees done
 	e.hooks.Deregister(p, job)
 	job.EndAt = p.Now()
 	e.cfg.Obs.EndSpan(span)
 }
 
-// process is Algorithm 1's PROCESS loop with the Algorithm 2 hook points
-// spliced in.
-func (e *Engine) process(p *sim.Proc, job *Job, root *graph.Node) {
-	queue := make([]*graph.Node, 0, 64)
-	queue = append(queue, root)
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if !job.aborted && e.cfg.Faults.JobAborts() {
-			e.AbortJob(p, job, faults.ErrJobAborted)
-		}
-		if job.aborted {
-			return
-		}
-		e.hooks.Yield(p, job)
-		if job.aborted {
-			return
-		}
-		e.compute(p, job, n)
-		e.hooks.NodeDone(p, job, n)
-		for _, child := range n.Children {
-			if !child.Async {
-				queue = append(queue, child)
-				continue
-			}
-			job.wg.Add(1)
-			e.pool.submitNode(job, child)
-		}
+// session takes a session-thread state from the engine's free list, or a
+// new one when it is empty; Run returns it once the job's own subtree is
+// done.
+func (e *Engine) session() *thread {
+	n := len(e.sessions)
+	if n == 0 {
+		return &thread{e: e}
 	}
-}
-
-// runNode is a pool thread's task: process the async subtree rooted at n,
-// then leave the job's gang.
-func (e *Engine) runNode(p *sim.Proc, job *Job, n *graph.Node) {
-	e.process(p, job, n)
-	job.wg.Done()
-}
-
-// compute executes a single node on the calling thread: CPU nodes burn
-// simulated CPU time; GPU nodes submit a kernel and block until it
-// completes (the thread "manages" the kernel, as the paper describes).
-func (e *Engine) compute(p *sim.Proc, job *Job, n *graph.Node) {
-	start := p.Now()
-	if e.cfg.NodeOverhead > 0 {
-		p.Sleep(e.cfg.NodeOverhead)
-	}
-	dur := e.jittered(n.Duration)
-	if n.IsGPU() {
-		if e.cfg.OnlineProfilingTax > 0 {
-			dur = time.Duration(float64(dur) * e.profilingFactor(job.Graph))
-		}
-		job.inflight.Acquire(p)
-		// Second yield point, on the kernel-launch side of the in-flight
-		// gate: a thread that waited out other kernels here must not
-		// launch while its job is switched out.
-		e.hooks.Yield(p, job)
-		switch {
-		case job.aborted:
-			// Woken by Cancel: skip the launch and let the gang unwind.
-		case e.cfg.KernelSliceDur > 0 && dur > e.cfg.KernelSliceDur:
-			e.computeSliced(p, job, n, dur)
-		default:
-			e.submitKernel(p, job, n, dur)
-		}
-		job.inflight.Release()
-	} else {
-		p.Sleep(dur)
-	}
-	if e.NodeObserver != nil {
-		e.NodeObserver(job, n, p.Now().Sub(start), dur)
-	}
-}
-
-// submitKernel launches one kernel and waits for it, relaunching on
-// injected transient failures up to the configured retry cap. Exhausting
-// the cap aborts the whole job: the fault is no longer transient from the
-// middleware's point of view. It reports whether the kernel succeeded.
-func (e *Engine) submitKernel(p *sim.Proc, job *Job, n *graph.Node, dur time.Duration) bool {
-	for attempt := 0; ; attempt++ {
-		k := e.kernel()
-		k.Owner = job.ID
-		k.Stream = job.Client
-		k.Duration = dur
-		k.Occupancy = n.Occupancy
-		e.dev.Submit(k)
-		k.Done.Wait(p)
-		err := k.Err
-		e.kernels = append(e.kernels, k)
-		if err == nil {
-			return true
-		}
-		if errors.Is(err, faults.ErrDeviceCrashed) {
-			// The device is gone, not glitching: retrying against a dead
-			// device would spin the retry budget on instant failures. Abort
-			// immediately so the serving layer can fail the batch over.
-			e.AbortJob(p, job, fmt.Errorf("executor: job %d node %d: %w", job.ID, n.ID, err))
-			return false
-		}
-		if attempt >= e.cfg.KernelRetries {
-			e.AbortJob(p, job, fmt.Errorf("executor: job %d node %d: %w (gave up after %d attempts)",
-				job.ID, n.ID, err, attempt+1))
-			return false
-		}
-		e.kernelRetries++
-		e.retriesC.Inc()
-		e.cfg.Obs.Instant(obs.LayerExecutor, "kernel_retry", job.ID, obs.NoClass, e.cfg.Device, int64(attempt+1))
-		// Re-yield before relaunching: the retry must not run while the
-		// job is switched out, and an abort may have landed meanwhile.
-		e.hooks.Yield(p, job)
-		if job.aborted {
-			return false
-		}
-	}
+	t := e.sessions[n-1]
+	e.sessions[n-1] = nil
+	e.sessions = e.sessions[:n-1]
+	return t
 }
 
 // kernel takes a completed kernel from the engine's free list, or a new one
-// when it is empty; submitKernel returns each kernel once its Done fired.
+// when it is empty; a thread returns each kernel once its Done fired.
 func (e *Engine) kernel() *gpu.Kernel {
 	n := len(e.kernels)
 	if n == 0 {
@@ -405,34 +315,6 @@ func (e *Engine) kernel() *gpu.Kernel {
 	e.kernels[n-1] = nil
 	e.kernels = e.kernels[:n-1]
 	return k
-}
-
-// computeSliced runs a GPU node as a sequence of kernel slices with a
-// yield point between them — the related-work baseline. Every slice after
-// the first pays the preemption penalty of saving and restoring the
-// kernel's massively parallel context.
-func (e *Engine) computeSliced(p *sim.Proc, job *Job, n *graph.Node, dur time.Duration) {
-	remaining := dur
-	first := true
-	for remaining > 0 {
-		slice := e.cfg.KernelSliceDur
-		if remaining < slice {
-			slice = remaining
-		}
-		remaining -= slice
-		if !first {
-			// Sub-node preemption point, then pay the context restore.
-			e.hooks.Yield(p, job)
-			if job.aborted {
-				return
-			}
-			slice += e.cfg.KernelSlicePenalty
-		}
-		first = false
-		if !e.submitKernel(p, job, n, slice) {
-			return
-		}
-	}
 }
 
 // profilingFactor returns the kernel inflation factor modelling online

@@ -83,7 +83,7 @@ type recordingHooks struct {
 
 func (h *recordingHooks) Register(*sim.Proc, *Job)              { h.registered++ }
 func (h *recordingHooks) Deregister(*sim.Proc, *Job)            { h.deregistered++ }
-func (h *recordingHooks) Yield(*sim.Proc, *Job)                 { h.yields++ }
+func (h *recordingHooks) Yield(*sim.Proc, *Job) bool            { h.yields++; return true }
 func (h *recordingHooks) NodeDone(*sim.Proc, *Job, *graph.Node) { h.nodeDones++ }
 
 func TestHooksCalledPerNode(t *testing.T) {
@@ -220,26 +220,51 @@ func TestSoloModelRunMatchesCalibratedRuntime(t *testing.T) {
 	}
 }
 
+// chainsGraph builds a root CPU node with n async GPU chains of length
+// nodes each, every node a kernel of duration d and occupancy occ.
+func chainsGraph(t *testing.T, n, nodes int, d time.Duration, occ float64) *graph.Graph {
+	t.Helper()
+	root := &graph.Node{Op: "root", Device: graph.CPU}
+	for i := 0; i < n; i++ {
+		var next *graph.Node
+		for j := nodes - 1; j >= 0; j-- {
+			k := &graph.Node{Op: "k", Device: graph.GPU, Duration: d, Occupancy: occ, Async: j == 0}
+			if next != nil {
+				k.Children = []*graph.Node{next}
+			}
+			next = k
+		}
+		root.Children = append(root.Children, next)
+	}
+	g := &graph.Graph{Model: "chains", BatchSize: 1, Root: root}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestPoolStats: five async GPU chains on a pool capped at two threads
+// spawn two threads and delay the other three submissions until a thread
+// frees up.
 func TestPoolStats(t *testing.T) {
 	env := sim.NewEnv(1)
-	tp := NewThreadPool(env, 2)
+	eng := New(env, gpu.New(env, testSpec), Config{ThreadPoolSize: 2}, nil)
 	done := 0
-	env.Go("submitter", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			tp.Submit(1, func(w *sim.Proc) {
-				w.Sleep(time.Millisecond)
-				done++
-			})
+	eng.NodeObserver = func(_ *Job, n *graph.Node, _, _ time.Duration) {
+		if n.IsGPU() {
+			done++
 		}
-	})
+	}
+	job := eng.NewJob(1, chainsGraph(t, 5, 1, time.Millisecond, 0.1))
+	env.Go("session", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	env.Shutdown()
 	if done != 5 {
-		t.Fatalf("completed %d tasks, want 5", done)
+		t.Fatalf("completed %d chains, want 5", done)
 	}
-	s := tp.Stats()
+	s := eng.Pool().Stats()
 	if s.Spawned != 2 {
 		t.Fatalf("spawned %d threads, want 2 (the cap)", s.Spawned)
 	}
@@ -251,24 +276,29 @@ func TestPoolStats(t *testing.T) {
 	}
 }
 
+// TestJobThreadAccounting: mid-run, each job holds one pool thread per
+// async chain still executing, and all of them return once the chains are
+// done.
 func TestJobThreadAccounting(t *testing.T) {
 	env := sim.NewEnv(1)
-	tp := NewThreadPool(env, 4)
-	env.Go("submitter", func(p *sim.Proc) {
-		tp.Submit(7, func(w *sim.Proc) { w.Sleep(2 * time.Millisecond) })
-		tp.Submit(7, func(w *sim.Proc) { w.Sleep(2 * time.Millisecond) })
-		tp.Submit(9, func(w *sim.Proc) { w.Sleep(2 * time.Millisecond) })
+	eng := New(env, gpu.New(env, testSpec), Config{ThreadPoolSize: 4}, nil)
+	tp := eng.Pool()
+	a := eng.NewJob(1, chainsGraph(t, 2, 1, 2*time.Millisecond, 0.1))
+	b := eng.NewJob(2, chainsGraph(t, 1, 1, 2*time.Millisecond, 0.1))
+	env.Go("session-a", func(p *sim.Proc) { eng.Run(p, a) })
+	env.Go("session-b", func(p *sim.Proc) { eng.Run(p, b) })
+	env.Go("observer", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		if got := tp.JobThreads(7); got != 2 {
-			t.Errorf("job 7 threads = %d, want 2", got)
+		if got := tp.JobThreads(a.ID); got != 2 {
+			t.Errorf("job %d threads = %d, want 2", a.ID, got)
 		}
-		if got := tp.JobThreads(9); got != 1 {
-			t.Errorf("job 9 threads = %d, want 1", got)
+		if got := tp.JobThreads(b.ID); got != 1 {
+			t.Errorf("job %d threads = %d, want 1", b.ID, got)
 		}
 		if got := tp.InUse(); got != 3 {
 			t.Errorf("in use = %d, want 3", got)
 		}
-		p.Sleep(2 * time.Millisecond)
+		p.Sleep(4 * time.Millisecond)
 		if got := tp.InUse(); got != 0 {
 			t.Errorf("in use after completion = %d, want 0", got)
 		}
@@ -277,4 +307,7 @@ func TestJobThreadAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Shutdown()
+	if end := sim.Time(5 * time.Millisecond); a.EndAt >= end || b.EndAt >= end {
+		t.Fatalf("jobs ended at %v and %v, want both before the final check at 5ms", a.EndAt, b.EndAt)
+	}
 }

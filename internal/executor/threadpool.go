@@ -6,13 +6,15 @@ import (
 )
 
 // ThreadPool is the shared CPU thread pool TF-Serving fetches gang threads
-// from (Algorithm 1 line 14). Threads are simulated processes, reused LIFO.
-// When the pool is exhausted, submissions queue until a thread frees up —
-// the "execution may be delayed" behaviour the paper notes, and the
-// mechanism behind Olympian's reduced scalability for some DNNs (§4.3):
-// suspended gangs hold their threads, so Olympian reaches the limit sooner.
+// from (Algorithm 1 line 14). Threads are stackless simulated processes,
+// reused LIFO, each running the PROCESS loop of the async subtree it was
+// handed as a state machine (see thread). When the pool is exhausted,
+// submissions queue until a thread frees up — the "execution may be
+// delayed" behaviour the paper notes, and the mechanism behind Olympian's
+// reduced scalability for some DNNs (§4.3): suspended gangs hold their
+// threads, so Olympian reaches the limit sooner.
 type ThreadPool struct {
-	env *sim.Env
+	eng *Engine
 	max int
 
 	idle    []*worker
@@ -22,10 +24,6 @@ type ThreadPool struct {
 	// perJob counts threads currently executing (or suspended inside) a
 	// task for each job.
 	perJob map[int]int
-
-	// runNode executes the graph-node tasks of submitNode; the engine sets
-	// it once, so handing a node to a thread builds no closure.
-	runNode func(p *sim.Proc, job *Job, n *graph.Node)
 
 	stats PoolStats
 }
@@ -42,45 +40,35 @@ type PoolStats struct {
 	Completed int
 }
 
-// task is one unit of pool work: fn, or else node of job via runNode.
+// task is one unit of pool work: the async subtree rooted at node of job.
 type task struct {
-	jobID int
-	fn    func(p *sim.Proc)
-	job   *Job
-	node  *graph.Node
+	job  *Job
+	node *graph.Node
 }
 
+// worker is one pool thread: its stackless process, the task it was handed
+// and its gang-thread state.
 type worker struct {
-	cond    *sim.Cond
-	next    task
-	hasNext bool
-	stop    bool
+	tp   *ThreadPool
+	p    *sim.Proc
+	next task // handed over by submit, taken when the worker wakes
+	th   thread
 }
 
-// NewThreadPool returns a pool that will grow up to max threads.
-func NewThreadPool(env *sim.Env, max int) *ThreadPool {
-	return &ThreadPool{env: env, max: max, perJob: make(map[int]int)}
+// newThreadPool returns a pool of eng's gang threads that will grow up to
+// max threads.
+func newThreadPool(eng *Engine, max int) *ThreadPool {
+	return &ThreadPool{eng: eng, max: max, perJob: make(map[int]int)}
 }
 
-// Submit schedules fn to run on a pool thread on behalf of jobID. If no
-// thread is available and the pool is at its limit, the task is delayed
-// until one frees up.
-func (tp *ThreadPool) Submit(jobID int, fn func(p *sim.Proc)) {
-	tp.submit(task{jobID: jobID, fn: fn})
-}
-
-// submitNode schedules the execution of node n of job on a pool thread, as
-// Submit does, through the pool's runNode handler.
-func (tp *ThreadPool) submitNode(job *Job, n *graph.Node) {
-	tp.submit(task{jobID: job.ID, job: job, node: n})
-}
-
+// submit hands t to an idle thread, spawns a thread for it below the cap, or
+// delays it until a thread frees up.
 func (tp *ThreadPool) submit(t task) {
 	if n := len(tp.idle); n > 0 {
 		w := tp.idle[n-1]
 		tp.idle = tp.idle[:n-1]
-		w.next, w.hasNext = t, true
-		w.cond.Signal()
+		w.next = t
+		w.p.Wake()
 		return
 	}
 	if tp.total < tp.max {
@@ -94,43 +82,47 @@ func (tp *ThreadPool) submit(t task) {
 func (tp *ThreadPool) spawn(first task) {
 	tp.total++
 	tp.stats.Spawned++
-	w := &worker{cond: tp.env.NewCond("pool-worker"), next: first, hasNext: true}
-	p := tp.env.Go("pool-worker", func(p *sim.Proc) { tp.workerLoop(p, w) })
-	p.SetDaemon(true)
+	w := &worker{tp: tp, next: first}
+	w.th.e = tp.eng
+	w.p = tp.eng.env.GoStep("pool-worker", w.step)
+	w.p.SetDaemon(true)
 }
 
-func (tp *ThreadPool) workerLoop(p *sim.Proc, w *worker) {
+// step is the worker's wake-up: take the handed-over task if the worker is
+// between tasks, advance the task's thread to its next block point, and on
+// finishing it leave the job's gang and take a delayed task or go idle.
+func (w *worker) step(p *sim.Proc) {
+	tp := w.tp
 	for {
-		for !w.hasNext && !w.stop {
-			w.cond.Wait(p)
+		if w.th.job == nil {
+			t := w.next
+			w.next = task{}
+			tp.perJob[t.job.ID]++
+			if used := tp.InUse(); used > tp.stats.PeakInUse {
+				tp.stats.PeakInUse = used
+			}
+			w.th.begin(t.job, t.node)
 		}
-		if w.stop {
+		if !w.th.run(p) {
 			return
 		}
-		t := w.next
-		w.next, w.hasNext = task{}, false
-		tp.perJob[t.jobID]++
-		if used := tp.InUse(); used > tp.stats.PeakInUse {
-			tp.stats.PeakInUse = used
-		}
-		if t.fn != nil {
-			t.fn(p)
-		} else {
-			tp.runNode(p, t.job, t.node)
-		}
-		tp.perJob[t.jobID]--
-		if tp.perJob[t.jobID] == 0 {
-			delete(tp.perJob, t.jobID)
+		job := w.th.job
+		w.th.job = nil
+		job.wg.Done()
+		tp.perJob[job.ID]--
+		if tp.perJob[job.ID] == 0 {
+			delete(tp.perJob, job.ID)
 		}
 		tp.stats.Completed++
 		if len(tp.backlog) > 0 {
-			w.next, w.hasNext = tp.backlog[0], true
+			w.next = tp.backlog[0]
 			tp.backlog[0] = task{}
 			tp.backlog = tp.backlog[1:]
 			continue
 		}
 		tp.idle = append(tp.idle, w)
-		// Park until the next Submit signals us.
+		p.Hold("cond:pool-worker") // until the next submit wakes us
+		return
 	}
 }
 

@@ -112,10 +112,12 @@ func TestCondWaitSteadyStateAllocs(t *testing.T) {
 	var avg float64
 	env.Go("waiter", func(p *Proc) {
 		avg = testing.AllocsPerRun(200, func() {
-			// Self-schedule the wakeup, then park exactly as Cond.Wait does;
-			// each iteration redispatches via the in-place event loop.
+			// Self-schedule the wakeup, then record the reason and suspend
+			// exactly as Cond.Wait does; each iteration redispatches via the
+			// in-place event loop.
 			env.scheduleProc(0, p)
-			p.park(cond.parkWhy)
+			p.Hold(cond.parkWhy)
+			p.Suspend()
 		})
 	})
 	if err := env.Run(); err != nil {

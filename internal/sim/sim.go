@@ -1,5 +1,5 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
-// kernel with coroutine-backed processes.
+// kernel with coroutine-backed and stackless processes.
 //
 // The kernel substitutes for wall-clock concurrency in the Olympian
 // reproduction: simulated CPU threads (Proc) block and resume on the same
@@ -8,22 +8,33 @@
 // and same-timestamp events fire in a stable (time, sequence) order, so every
 // experiment is reproducible from its seed.
 //
-// Concurrency model: every process is a runtime coroutine (iter.Pull) and
-// the event loop runs on the driver — the goroutine that called Run,
-// RunUntil or RunWindow. The driver pops events, runs callbacks inline and
-// resumes a process's coroutine when its wake-up is popped. A parking
-// process first runs the loop in place: it executes callback events itself
-// and, when its own wake-up is next, returns straight into its caller with
-// no switch at all. Only when another process's wake-up is at the head does
-// it suspend to the driver, which then resumes that process. A coroutine
-// switch is a direct hand-off between two goroutines with no scheduler
-// round trip, and process code runs under total mutual exclusion, so it may
-// freely mutate shared simulation state between blocking points without
-// locks.
+// Concurrency model: a process is either a runtime coroutine (Go, backed by
+// iter.Pull) or stackless (GoStep). The event loop runs on the driver — the
+// goroutine that called Run, RunUntil or RunWindow. The driver pops events,
+// runs callbacks inline and, when a process's wake-up is popped, resumes its
+// coroutine or, for a stackless process, calls its step function inline. A
+// parking coroutine process first runs the loop in place: it executes
+// callback events and stackless wake-ups itself and, when its own wake-up is
+// next, returns straight into its caller with no switch at all. Only when
+// another coroutine's wake-up is at the head does it suspend to the driver,
+// which then resumes that process. A coroutine switch is a direct hand-off
+// between two goroutines with no scheduler round trip, and process code runs
+// under total mutual exclusion, so it may freely mutate shared simulation
+// state between blocking points without locks.
+//
+// Coroutine processes block by calling Sleep, Wait, Acquire or Suspend and
+// keep their progress on their own stack. A stackless process keeps its
+// progress in its own state instead: its step registers exactly one wake-up
+// with a non-blocking call (Delay, Hold, Cond.Enlist, Event.Enlist,
+// Semaphore.TryAcquire) and returns, and the next wake-up calls step again.
+// Both kinds wait in the same []*Proc waiter lists, so a Cond may hold a mix
+// of them and wakes them in FIFO order either way. The executor runs its
+// pool threads stackless; session, client and serving processes stay
+// coroutines.
 //
 // Event representation: the queue is a 4-ary min-heap of event values —
 // no container/heap interface boxing, no per-event pointer allocation. An
-// event is either a callback (fn) or the resumption of a parked process
+// event is either a callback (fn) or the wake-up of a parked process
 // (proc); the dedicated dispatch kind keeps Sleep, Event.Trigger, and
 // Cond.Signal from allocating a wakeup closure. Vacated heap slots are
 // recycled in place, so the backing array doubles as the event free list.
@@ -258,7 +269,8 @@ func (e *Env) ScheduleAt(t Time, fn func()) {
 	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
-// Proc is a simulated thread of control backed by a coroutine.
+// Proc is a simulated thread of control, backed by a coroutine (Go) or
+// stackless (GoStep).
 type Proc struct {
 	env    *Env
 	id     int
@@ -271,6 +283,8 @@ type Proc struct {
 	resume  func() (struct{}, bool) // driver side: run the proc until it parks or exits
 	stop    func()                  // driver side: unwind a parked proc (Shutdown)
 	suspend func(struct{}) bool     // proc side: hand control back to the driver
+
+	step func(*Proc) // stackless procs: called on every wake-up; nil for coroutines
 }
 
 // killSentinel unwinds a killed process's stack during Env.Shutdown.
@@ -320,10 +334,27 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// GoStep spawns a stackless process: it owns no coroutine, and each of its
+// wake-ups calls step inline on whichever goroutine is running the event
+// loop. step must not block (Sleep, Wait, Acquire and Suspend panic on a
+// stackless process): it runs to the process's next block point, registers
+// exactly one wake-up there with Delay, Hold, Cond.Enlist, Event.Enlist or
+// Semaphore.TryAcquire, and returns, keeping its progress in its own state.
+// As with Go, the first call happens at the current virtual time, after the
+// events already queued for it. A stackless process lives until Shutdown.
+func (e *Env) GoStep(name string, step func(p *Proc)) *Proc {
+	e.procSeq++
+	p := &Proc{env: e, id: e.procSeq, name: name, why: "start", step: step}
+	e.live++
+	e.procs[p] = struct{}{}
+	e.scheduleProc(0, p)
+	return p
+}
+
 // exit retires a process whose function has returned or been unwound,
 // dropping its coroutine so a still-referenced Proc pins no coroutine state.
 func (p *Proc) exit() {
-	p.resume, p.stop, p.suspend = nil, nil, nil
+	p.resume, p.stop, p.suspend, p.step = nil, nil, nil, nil
 	p.dead = true
 	if !p.daemon {
 		p.env.live--
@@ -345,17 +376,19 @@ func runKillable(fn func(*Proc), p *Proc) {
 }
 
 // Shutdown terminates all remaining processes (including daemons), unwinding
-// parked ones through their deferred calls and discarding never-started
-// ones, so every coroutine goroutine exits. Call it once after Run returns;
-// the environment must not be used afterwards.
+// parked coroutines through their deferred calls, discarding never-started
+// ones and retiring stackless ones, so every coroutine goroutine exits. Call
+// it once after Run returns; the environment must not be used afterwards.
 func (e *Env) Shutdown() {
 	for p := range e.procs {
 		if p.dead {
 			continue
 		}
 		p.killed = true
-		p.stop()
-		if !p.dead { // never started: its body did not run
+		if p.stop != nil {
+			p.stop()
+		}
+		if !p.dead { // stackless, or never started: no body to unwind
 			p.exit()
 		}
 	}
@@ -368,9 +401,10 @@ func (e *Env) runnable() bool {
 }
 
 // runLoop executes queued events on the driver until the run is over (for
-// now). Callbacks run inline; a popped process wake-up resumes that
-// process's coroutine, which returns here when it next parks behind another
-// process's wake-up, parks at the end of the run, or exits.
+// now). Callbacks and stackless wake-ups run inline; a popped coroutine
+// wake-up resumes that process's coroutine, which returns here when it next
+// parks behind another coroutine's wake-up, parks at the end of the run, or
+// exits.
 func (e *Env) runLoop() {
 	for e.runnable() {
 		ev := e.events.pop()
@@ -388,23 +422,30 @@ func (e *Env) runLoop() {
 		}
 		e.now = ev.at
 		q.why = ""
+		if q.step != nil {
+			q.step(q)
+			continue
+		}
 		q.resume()
 	}
 }
 
-// park records why the process is blocked and runs the event loop in place
-// until something redispatches it.
+// Suspend parks the coroutine process p until the wake-up it registered
+// beforehand (Delay, Hold, Cond.Enlist, Event.Enlist or a failed
+// Semaphore.TryAcquire) runs, running the event loop in place meanwhile.
 //
-// Fast path: callbacks run right here on the process's coroutine, and when
-// the process's own wake-up comes up it simply returns — a process that
-// sleeps and is the next to run costs no switch at all. Otherwise, when
-// another process's wake-up is at the head or the run is over, it suspends
-// to the driver, which pops that head next.
-func (p *Proc) park(why string) {
-	p.why = why
+// Fast path: callbacks and stackless wake-ups run right here on the
+// process's coroutine, and when the process's own wake-up comes up it simply
+// returns — a process that sleeps and is the next to run costs no switch at
+// all. Otherwise, when another coroutine's wake-up is at the head or the run
+// is over, it suspends to the driver, which pops that head next.
+func (p *Proc) Suspend() {
+	if p.step != nil {
+		panic("sim: blocking call on stackless process " + p.name)
+	}
 	e := p.env
 	for e.runnable() {
-		if q := e.events[0].proc; q != nil && q != p && !q.dead {
+		if q := e.events[0].proc; q != nil && q != p && q.step == nil && !q.dead {
 			break
 		}
 		ev := e.events.pop()
@@ -416,11 +457,16 @@ func (p *Proc) park(why string) {
 			ev.fn()
 			continue
 		}
-		if ev.proc.dead {
+		q := ev.proc
+		if q.dead {
 			continue
 		}
 		e.now = ev.at
-		p.why = ""
+		q.why = ""
+		if q != p {
+			q.step(q)
+			continue
+		}
 		return
 	}
 	if !p.suspend(struct{}{}) {
@@ -432,12 +478,29 @@ func (p *Proc) park(why string) {
 // scheduling point: it yields to other same-time events in deterministic
 // order.
 func (p *Proc) Sleep(d Duration) {
+	p.Delay(d)
+	p.Suspend()
+}
+
+// Delay registers p's wake-up after virtual duration d without blocking:
+// the stackless form of Sleep.
+func (p *Proc) Delay(d Duration) {
 	if d < 0 {
 		d = 0
 	}
+	p.why = "sleep"
 	p.env.scheduleProc(d, p)
-	p.park("sleep")
 }
+
+// Hold records that p waits, for the reason why (shown in deadlock
+// reports), on a wake-up that other code will deliver with Wake: the
+// registration of a process parked outside any Cond, Event or Semaphore,
+// such as an idle pool thread.
+func (p *Proc) Hold(why string) { p.why = why }
+
+// Wake schedules p's wake-up at the current time. The caller must own p's
+// one pending registration: p is parked by Hold and enlisted nowhere else.
+func (p *Proc) Wake() { p.env.scheduleProc(0, p) }
 
 // Yield reschedules the process at the current time, letting any other
 // same-time events run first.
@@ -565,11 +628,21 @@ func (ev *Event) Subscribe(fn func()) {
 
 // Wait blocks p until the event is triggered.
 func (ev *Event) Wait(p *Proc) {
+	if ev.Enlist(p) {
+		p.Suspend()
+	}
+}
+
+// Enlist registers p to be woken when the event triggers, without blocking,
+// and reports whether it did: once the event has triggered it returns false
+// and registers nothing, and p may go on at once.
+func (ev *Event) Enlist(p *Proc) bool {
 	if ev.triggered {
-		return
+		return false
 	}
 	ev.waiters = append(ev.waiters, p)
-	p.park("event")
+	p.why = "event"
+	return true
 }
 
 // Cond is a condition variable for processes. Unlike sync.Cond it needs no
@@ -593,6 +666,15 @@ func (e *Env) NewCond(label string) *Cond {
 // must re-check their condition in a loop: a wake-up does not imply the
 // condition holds.
 func (c *Cond) Wait(p *Proc) {
+	c.Enlist(p)
+	p.Suspend()
+}
+
+// Enlist queues p as the newest waiter without blocking: the Signal or
+// Broadcast that reaches it schedules its wake-up. A coroutine process
+// follows it with Suspend, as Wait does; a stackless one returns from its
+// step.
+func (c *Cond) Enlist(p *Proc) {
 	if c.head > 0 && c.head >= len(c.waiters)/2 {
 		// Slide the live waiters down so the backing array stays bounded
 		// by the peak number of waiters, not by the total ever queued.
@@ -602,7 +684,7 @@ func (c *Cond) Wait(p *Proc) {
 		c.head = 0
 	}
 	c.waiters = append(c.waiters, p)
-	p.park(c.parkWhy)
+	p.why = c.parkWhy
 }
 
 // Signal wakes the longest-waiting process, if any.
@@ -644,10 +726,21 @@ func (e *Env) NewSemaphore(n int) *Semaphore {
 
 // Acquire blocks p until a slot is free, then takes it.
 func (s *Semaphore) Acquire(p *Proc) {
-	for s.free <= 0 {
-		s.cond.Wait(p)
+	for !s.TryAcquire(p) {
+		p.Suspend()
 	}
-	s.free--
+}
+
+// TryAcquire takes a free slot and reports true, or else enlists p to be
+// woken by a Release and reports false; the woken process must call
+// TryAcquire again, since another may have taken the slot first.
+func (s *Semaphore) TryAcquire(p *Proc) bool {
+	if s.free > 0 {
+		s.free--
+		return true
+	}
+	s.cond.Enlist(p)
+	return false
 }
 
 // Release frees a slot, waking one waiter.

@@ -2,8 +2,10 @@
 # Checks that the working tree reproduces the experiment reports of a git
 # ref byte for byte, apart from wall-clock figures. It builds olympian-sim
 # at the ref and from the working tree, runs the -quick experiments below
-# with both, masks the wall-clock fields and diffs the reports. Any other
-# difference is printed as a unified diff and the script exits non-zero.
+# and the full-size scale experiment with both, masks the wall-clock fields
+# and diffs the reports. Any other difference is printed as a unified diff
+# and the script exits non-zero. Full-size scale is the one report in which
+# the thread pool backs up and an Olympian gang deadlocks.
 #
 # Run from anywhere inside the repository:
 #
@@ -16,7 +18,8 @@
 set -euo pipefail
 
 ref=${1:?usage: scripts/identical-reports.sh <git-ref>}
-experiments=(cluster chaos sharded recovery fig3 fig11 fig13 fig15 fig16 overload ext-multigpu ext-slicing llm llmoverload)
+experiments=(cluster chaos sharded recovery fig3 fig6 fig11 fig13 fig15 fig16 fig17 fig18 fig19 util overload ext-multigpu ext-slicing llm llmoverload)
+full=(scale)
 
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
@@ -43,8 +46,11 @@ mask() {
 }
 
 for side in ref tree; do
-	echo "running ${experiments[*]} at $side" >&2
-	"$work/sim-$side" -quick "${experiments[@]}" | mask >"$work/$side.txt"
+	echo "running -quick ${experiments[*]} and full-size ${full[*]} at $side" >&2
+	{
+		"$work/sim-$side" -quick "${experiments[@]}"
+		"$work/sim-$side" "${full[@]}"
+	} | mask >"$work/$side.txt"
 done
 if ! diff -u "$work/ref.txt" "$work/tree.txt"; then
 	echo "reports differ from $ref beyond wall-clock figures" >&2
