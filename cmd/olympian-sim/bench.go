@@ -488,6 +488,9 @@ func benchContinuousBatching(b *testing.B) {
 			b.Fatalf("continuous batching lost requests: %d of %d completed", st.Completed, requests)
 		}
 		tokens += st.TokensEmitted
+		b.StopTimer()
+		env.Shutdown()
+		b.StartTimer()
 	}
 	b.ReportMetric(float64(tokens)/total.Seconds(), "tokens_per_s")
 }
@@ -544,6 +547,9 @@ func benchKVStarvedStep(b *testing.B) {
 				st.Completed, st.Failed, st.Preemptions, requests)
 		}
 		preemptions += st.Preemptions
+		b.StopTimer()
+		env.Shutdown()
+		b.StartTimer()
 	}
 	b.ReportMetric(float64(preemptions)/float64(b.N), "preemptions")
 }

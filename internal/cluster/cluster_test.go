@@ -8,44 +8,41 @@ import (
 	"olympian/internal/faults"
 	"olympian/internal/gpu"
 	"olympian/internal/model"
+	"olympian/internal/overload"
 	"olympian/internal/planner"
-	"olympian/internal/sim"
 )
 
-// runTraffic submits n requests per model at the given interarrival gap and
-// waits on each from its own client proc.
-func runTraffic(t *testing.T, env *sim.Env, c *Cluster, models []string, n int, gap time.Duration) {
+// runTraffic builds a fleet from cfg, submits n interactive requests per
+// model at the given interarrival gap from front-end events, and runs it to
+// quiescence.
+func runTraffic(t *testing.T, cfg Config, models []string, n int, gap time.Duration) *ShardedCluster {
 	t.Helper()
+	c, err := NewSharded(cfg, Sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range models {
 		m := m
 		for i := 0; i < n; i++ {
-			i := i
-			env.Go("client-"+m, func(p *sim.Proc) {
-				p.Sleep(time.Duration(i) * gap)
-				req, err := c.Submit(p, m)
-				if err != nil {
+			c.FrontEnv().Schedule(time.Duration(i)*gap, func() {
+				if _, err := c.SubmitEvent(m, overload.Interactive); err != nil {
 					t.Errorf("submit %s: %v", m, err)
-					return
 				}
-				req.Wait(p)
 			})
 		}
 	}
-	if err := env.Run(); err != nil {
+	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	env.Shutdown()
+	c.Shutdown()
+	return c
 }
 
 func twoDevices() []gpu.Spec { return []gpu.Spec{gpu.GTX1080Ti, gpu.GTX1080Ti} }
 
 func TestRoundRobinCyclesReplicas(t *testing.T) {
-	env := sim.NewEnv(1)
-	c, err := New(env, Config{Seed: 1, Devices: twoDevices(), Route: RoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTraffic(t, env, c, []string{model.Inception}, 6, time.Millisecond)
+	c := runTraffic(t, Config{Seed: 1, Devices: twoDevices(), Route: RoundRobin},
+		[]string{model.Inception}, 6, time.Millisecond)
 	decs := c.Router().Decisions()
 	if len(decs) != 6 {
 		t.Fatalf("%d decisions, want 6", len(decs))
@@ -58,14 +55,10 @@ func TestRoundRobinCyclesReplicas(t *testing.T) {
 }
 
 func TestLeastOutstandingBalances(t *testing.T) {
-	env := sim.NewEnv(1)
-	c, err := New(env, Config{Seed: 1, Devices: twoDevices(), Route: LeastOutstanding})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// All 8 requests arrive at t=0, before any completes: least-outstanding
 	// must split them 4/4.
-	runTraffic(t, env, c, []string{model.Inception}, 8, 0)
+	c := runTraffic(t, Config{Seed: 1, Devices: twoDevices(), Route: LeastOutstanding},
+		[]string{model.Inception}, 8, 0)
 	counts := make([]int, 2)
 	for _, d := range c.Router().Decisions() {
 		counts[d.Device]++
@@ -76,12 +69,8 @@ func TestLeastOutstandingBalances(t *testing.T) {
 }
 
 func TestCostWeightedSpreadsDebt(t *testing.T) {
-	env := sim.NewEnv(1)
-	c, err := New(env, Config{Seed: 1, Devices: twoDevices(), Route: CostWeighted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTraffic(t, env, c, []string{model.Inception, model.ResNet50}, 6, time.Millisecond)
+	c := runTraffic(t, Config{Seed: 1, Devices: twoDevices(), Route: CostWeighted},
+		[]string{model.Inception, model.ResNet50}, 6, time.Millisecond)
 	counts := make([]int, 2)
 	for _, d := range c.Router().Decisions() {
 		counts[d.Device]++
@@ -98,15 +87,11 @@ func TestCostWeightedSpreadsDebt(t *testing.T) {
 }
 
 func TestPlacementRestrictsRouting(t *testing.T) {
-	env := sim.NewEnv(1)
 	pl := &planner.Placement{Replicas: []planner.Replica{
 		{Model: model.Inception, Batch: 1, Device: 1},
 	}}
-	c, err := New(env, Config{Seed: 1, Devices: twoDevices(), Placement: pl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTraffic(t, env, c, []string{model.Inception}, 4, time.Millisecond)
+	c := runTraffic(t, Config{Seed: 1, Devices: twoDevices(), Placement: pl},
+		[]string{model.Inception}, 4, time.Millisecond)
 	for _, d := range c.Router().Decisions() {
 		if d.Device != 1 {
 			t.Fatalf("decision %+v escaped the placement (want device 1)", d)
@@ -118,29 +103,23 @@ func TestPlacementRestrictsRouting(t *testing.T) {
 }
 
 func TestPlacementValidatedAgainstFleet(t *testing.T) {
-	env := sim.NewEnv(1)
 	pl := &planner.Placement{Replicas: []planner.Replica{
 		{Model: model.Inception, Batch: 1, Device: 5},
 	}}
-	if _, err := New(env, Config{Seed: 1, Devices: twoDevices(), Placement: pl}); err == nil {
+	if _, err := NewSharded(Config{Seed: 1, Devices: twoDevices(), Placement: pl}, Sharded); err == nil {
 		t.Fatal("placement onto a missing device accepted, want error")
 	}
 }
 
 func TestFailoverReroutesQueuedRequests(t *testing.T) {
-	env := sim.NewEnv(42)
 	plans := []*faults.Plan{
 		{StallEvery: 15 * time.Millisecond, StallDur: 40 * time.Millisecond},
 		nil,
 	}
-	c, err := New(env, Config{
+	c := runTraffic(t, Config{
 		Seed: 42, Devices: twoDevices(), Faults: plans,
 		Route: RoundRobin, MaxBatch: 32, BatchTimeout: 8 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTraffic(t, env, c, []string{model.Inception}, 80, 500*time.Microsecond)
+	}, []string{model.Inception}, 80, 500*time.Microsecond)
 	st := c.Stats()
 	if st.Degraded.DeviceStalls == 0 {
 		t.Fatal("no stall fired; the fault plan never engaged")
@@ -168,19 +147,14 @@ func TestFailoverReroutesQueuedRequests(t *testing.T) {
 
 func TestClusterDeterminism(t *testing.T) {
 	run := func() (Stats, []Decision) {
-		env := sim.NewEnv(7)
 		plans := []*faults.Plan{
 			{StallEvery: 20 * time.Millisecond, StallDur: 30 * time.Millisecond},
 			nil, nil,
 		}
-		c, err := New(env, Config{
+		c := runTraffic(t, Config{
 			Seed: 7, Devices: []gpu.Spec{gpu.GTX1080Ti, gpu.GTX1080Ti, gpu.GTX1080Ti},
 			Faults: plans, Route: CostWeighted, BatchTimeout: 4 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runTraffic(t, env, c, []string{model.Inception, model.ResNet50}, 40, time.Millisecond)
+		}, []string{model.Inception, model.ResNet50}, 40, time.Millisecond)
 		return c.Stats(), c.Router().Decisions()
 	}
 	st1, dec1 := run()
@@ -197,12 +171,8 @@ func TestClusterDeterminism(t *testing.T) {
 }
 
 func TestStatsAggregation(t *testing.T) {
-	env := sim.NewEnv(3)
-	c, err := New(env, Config{Seed: 3, Devices: twoDevices()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTraffic(t, env, c, []string{model.Inception, model.ResNet50}, 10, time.Millisecond)
+	c := runTraffic(t, Config{Seed: 3, Devices: twoDevices()},
+		[]string{model.Inception, model.ResNet50}, 10, time.Millisecond)
 	st := c.Stats()
 	if st.Devices != 2 || len(st.PerDevice) != 2 || len(st.Utilization) != 2 {
 		t.Fatalf("per-device aggregation wrong: %+v", st)

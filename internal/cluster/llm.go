@@ -2,9 +2,9 @@
 // KV and first tokens, decode replicas stream the rest, and the KV cache
 // travels between them over a modeled interconnect.
 //
-// The topology reuses the sharded substrate: shard 0 is the front-end
-// (router, request bookkeeping, transfer links), shard i+1 hosts device i's
-// serving.LLMServer. Devices 0..P-1 run llm.PrefillRole, P..P+D-1
+// The topology is the fleet substrate's (fleet.go): shard 0 is the
+// front-end (router, request bookkeeping, transfer links), shard i+1 hosts
+// device i's serving.LLMServer. Devices 0..P-1 run llm.PrefillRole, P..P+D-1
 // llm.DecodeRole. One Router covers both pools through role pseudo-models
 // ("<model>#prefill", "<model>#decode"), so every placement choice lands in
 // a single decision log and one DecisionHash fingerprints the whole fleet.
@@ -239,29 +239,20 @@ type llmReport struct {
 	err          error
 }
 
-// LLMCluster is a prefill/decode-disaggregated fleet on the sharded
+// LLMCluster is a prefill/decode-disaggregated fleet on the fleet
 // substrate; both engines (SingleHeap, Sharded) produce bit-identical runs.
 type LLMCluster struct {
-	cfg    LLMConfig
-	engine Engine
-	shards *sim.Shards
-	net    time.Duration
-
-	router  *Router
+	fleet[LLMRequest]
+	cfg     LLMConfig
 	servers []*serving.LLMServer
 	links   []*llm.Link // egress link per prefill device, owned by shard 0
-
-	requests   []*LLMRequest // retained unless Slim
-	attemptReq map[int]*LLMRequest
-	reqCount   int
-	attempts   int
 
 	retryBudget *overload.RetryBudget
 	retryRng    *rand.Rand
 
 	completed, failed, shed, expired int
 	partial, partialTokens           int
-	failovers, crashes, revives      int
+	failovers                        int
 	retries, retryDenied             int
 	tokensDelivered, truncatedTokens int
 	perClass                         [overload.NumClasses]LLMClassStats
@@ -273,19 +264,7 @@ type LLMCluster struct {
 	ttftHist, tpotHist     *obs.Hist
 	classTTFTs, classTPOTs [overload.NumClasses]*obs.Hist
 
-	children []*obs.Recorder
-	rec      *obs.Recorder
-
-	// samplers[i] scrapes children[i]'s registry on shard i's virtual clock;
-	// nil when telemetry is off. timeline caches the merged view.
-	samplers []*telemetry.Sampler
-	timeline *telemetry.Timeline
-
-	routesC      *obs.Series
-	failoversC   *obs.Series
 	handoffsC    *obs.Series
-	crashesC     *obs.Series
-	revivesC     *obs.Series
 	retriesC     *obs.Series
 	retryDeniedC *obs.Series
 }
@@ -306,54 +285,6 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 	if !model.IsLLM(cfg.Model) {
 		return nil, fmt.Errorf("cluster: %q is not an autoregressive model", cfg.Model)
 	}
-	n := cfg.PrefillReplicas + cfg.DecodeReplicas
-	shards := sim.NewShards(sim.ShardsConfig{
-		N:          n + 1,
-		Lookahead:  cfg.NetLatency,
-		Seed:       cfg.Seed,
-		SingleHeap: engine == SingleHeap,
-		Workers:    cfg.Workers,
-	})
-	c := &LLMCluster{
-		cfg:        cfg,
-		engine:     engine,
-		shards:     shards,
-		net:        cfg.NetLatency,
-		attemptReq: make(map[int]*LLMRequest),
-		children:   make([]*obs.Recorder, n+1),
-	}
-	if cfg.Obs != nil {
-		for i := range c.children {
-			c.children[i] = cfg.Obs.NewChild()
-			c.children[i].Attach(shards.Env(i))
-		}
-		if cfg.Telemetry != nil {
-			c.samplers = make([]*telemetry.Sampler, len(c.children))
-			for i := range c.children {
-				c.samplers[i] = telemetry.NewSampler(*cfg.Telemetry, c.children[i].Registry())
-				c.samplers[i].Bind(shards.Env(i))
-			}
-		}
-	}
-	c.rec = c.children[0]
-	reg := c.rec.Registry()
-	c.routesC = reg.Counter("olympian_cluster_routes_total", "Routing decisions.")
-	c.failoversC = reg.Counter("olympian_cluster_failovers_total", "Requests re-dispatched after a drain.")
-	c.handoffsC = reg.Counter("olympian_cluster_kv_handoffs_total", "KV shipments booked on transfer links.")
-	c.crashesC = reg.Counter("olympian_cluster_crashes_total", "Devices crashed permanently or pending restart.")
-	c.revivesC = reg.Counter("olympian_cluster_revives_total", "Replicas re-admitted after restart warm-up.")
-	c.retriesC = reg.Counter("olympian_cluster_llm_retries_total", "Requests re-dispatched after capacity rejections.")
-	c.retryDeniedC = reg.Counter("olympian_cluster_llm_retry_denied_total", "Retries refused by the front-end retry budget.")
-	c.retryBudget = overload.NewRetryBudget(cfg.RetryBudgetMax, cfg.RetryRefund)
-	c.retryRng = rand.New(rand.NewSource(cfg.Seed ^ 0x72747279))
-	c.ttftHist = obs.EnsureHist(reg.Histogram("olympian_cluster_ttft_seconds", "Fleet time to first token over completions.", "class", "all"))
-	c.tpotHist = obs.EnsureHist(reg.Histogram("olympian_cluster_tpot_seconds", "Fleet mean inter-token gap over completions.", "class", "all"))
-	for cls := overload.Class(0); cls < overload.NumClasses; cls++ {
-		cl := cls.String()
-		c.classTTFTs[cls] = obs.EnsureHist(reg.Histogram("olympian_cluster_ttft_seconds", "Fleet time to first token over completions.", "class", cl))
-		c.classTPOTs[cls] = obs.EnsureHist(reg.Histogram("olympian_cluster_tpot_seconds", "Fleet mean inter-token gap over completions.", "class", cl))
-	}
-
 	// Profile each distinct spec once; replicas share the fitted curves, and
 	// the cost-weighted router charges prefill debt from the same fit.
 	profiles := map[string]*profiler.LLMProfile{}
@@ -369,31 +300,47 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 	}
 	pprof := profiles[cfg.PrefillSpec.Name]
 	dprof := profiles[cfg.DecodeSpec.Name]
-	c.router = newRouter(shards.Env(0), n, cfg.Route, func(m string) (time.Duration, error) {
+	debt := func(m string) (time.Duration, error) {
 		// Per-dispatch debt for the cost-weighted policy: a representative
 		// prefill pass, or a representative decode residency.
 		if m == decodeModel(cfg.Model) {
 			return dprof.DecodeStep(1, 512) * 64, nil
 		}
 		return pprof.Prefill(256), nil
-	})
-	if cfg.Slim {
-		c.router.setSlim()
 	}
+
+	n := cfg.PrefillReplicas + cfg.DecodeReplicas
+	c := &LLMCluster{cfg: cfg}
+	c.init(fleetConfig{
+		devices: n, engine: engine, seed: cfg.Seed, net: cfg.NetLatency,
+		workers: cfg.Workers, slim: cfg.Slim, route: cfg.Route, debt: debt,
+		obs: cfg.Obs, telemetry: cfg.Telemetry,
+	}, func(reg *obs.Registry) {
+		c.handoffsC = reg.Counter("olympian_cluster_kv_handoffs_total", "KV shipments booked on transfer links.")
+	})
+	reg := c.rec.Registry()
+	c.retriesC = reg.Counter("olympian_cluster_llm_retries_total", "Requests re-dispatched after capacity rejections.")
+	c.retryDeniedC = reg.Counter("olympian_cluster_llm_retry_denied_total", "Retries refused by the front-end retry budget.")
+	c.retryBudget = overload.NewRetryBudget(cfg.RetryBudgetMax, cfg.RetryRefund)
+	c.retryRng = rand.New(rand.NewSource(cfg.Seed ^ 0x72747279))
+	c.ttftHist = obs.EnsureHist(reg.Histogram("olympian_cluster_ttft_seconds", "Fleet time to first token over completions.", "class", "all"))
+	c.tpotHist = obs.EnsureHist(reg.Histogram("olympian_cluster_tpot_seconds", "Fleet mean inter-token gap over completions.", "class", "all"))
+	for cls := overload.Class(0); cls < overload.NumClasses; cls++ {
+		cl := cls.String()
+		c.classTTFTs[cls] = obs.EnsureHist(reg.Histogram("olympian_cluster_ttft_seconds", "Fleet time to first token over completions.", "class", cl))
+		c.classTPOTs[cls] = obs.EnsureHist(reg.Histogram("olympian_cluster_tpot_seconds", "Fleet mean inter-token gap over completions.", "class", cl))
+	}
+
 	prefillDevs := make([]int, 0, cfg.PrefillReplicas)
 	decodeDevs := make([]int, 0, cfg.DecodeReplicas)
+	warm := llmWarmupFor(cfg)
 
 	for i := 0; i < n; i++ {
 		role, spec, prof := llm.PrefillRole, cfg.PrefillSpec, pprof
 		if i >= cfg.PrefillReplicas {
 			role, spec, prof = llm.DecodeRole, cfg.DecodeSpec, dprof
 		}
-		env := shards.Env(i + 1)
-		var inj *faults.Injector
-		if i < len(cfg.Faults) && cfg.Faults[i] != nil && cfg.Faults[i].Enabled() {
-			inj = faults.New(cfg.Seed+int64(i)*1031, *cfg.Faults[i])
-		}
-		srv, err := serving.NewLLMServer(env, serving.LLMConfig{
+		srv, err := serving.NewLLMServer(c.shards.Env(i+1), serving.LLMConfig{
 			Spec:           spec,
 			Model:          cfg.Model,
 			Role:           role,
@@ -409,7 +356,7 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 			KVWatermark:    cfg.KVWatermark,
 			DegradedTail:   cfg.DegradedTail,
 			Seed:           cfg.Seed + int64(i)*101,
-			Faults:         inj,
+			Faults:         c.injector(cfg.Faults, i),
 			Obs:            c.children[i+1],
 			Device:         i,
 			IsolateRand:    true,
@@ -427,23 +374,9 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 			decodeDevs = append(decodeDevs, i)
 		}
 
-		i, srv, env := i, srv, env
-		devRec := c.children[i+1]
-		warm := llmWarmupFor(cfg)
-		srv.Device().SetCrashObserver(func(recovery time.Duration) {
-			// Device-side: unwind every live sequence (their done events fan
-			// drained-attempt reports back), arm the revival timer on our own
-			// heap, and tell the front-end to mark us dead.
-			drained := srv.OnCrash()
-			devRec.Instant(obs.LayerCluster, "crash_drain", obs.NoReq, obs.NoClass, i, int64(drained))
-			if recovery > 0 {
-				env.Schedule(recovery, func() { srv.Device().Revive(warm) })
-			}
-			c.shards.Send(i+1, 0, c.net, func() { c.crashReported(i) })
-		})
-		srv.Device().SetReadyObserver(func() {
-			c.shards.Send(i+1, 0, c.net, func() { c.readyReported(i) })
-		})
+		// Device-side: unwind every live sequence; their done events fan
+		// drained-attempt reports back.
+		c.watchDevice(i, srv.Device(), warm, srv.OnCrash)
 	}
 	c.router.setReplicas(prefillModel(cfg.Model), prefillDevs)
 	c.router.setReplicas(decodeModel(cfg.Model), decodeDevs)
@@ -461,20 +394,6 @@ func llmWarmupFor(cfg LLMConfig) time.Duration {
 	return warm
 }
 
-func (c *LLMCluster) crashReported(dev int) {
-	c.router.MarkDead(dev)
-	c.crashes++
-	c.crashesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "crash", obs.NoReq, obs.NoClass, dev, 0)
-}
-
-func (c *LLMCluster) readyReported(dev int) {
-	c.router.Revive(dev)
-	c.revives++
-	c.revivesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "revive", obs.NoReq, obs.NoClass, dev, 0)
-}
-
 // SubmitEvent routes one generation request into the prefill pool. It must
 // run in shard 0's execution context (an event callback or process on
 // FrontEnv). Routing errors (every replica dead) are synchronous; a
@@ -485,7 +404,6 @@ func (c *LLMCluster) SubmitEvent(class overload.Class, prompt, output int) (*LLM
 		return nil, err
 	}
 	r := &LLMRequest{
-		ID:           c.reqCount,
 		Class:        class,
 		PromptTokens: prompt,
 		OutputTokens: output,
@@ -493,12 +411,8 @@ func (c *LLMCluster) SubmitEvent(class overload.Class, prompt, output int) (*LLM
 		DecodeDev:    -1,
 		ArriveAt:     c.shards.Env(0).Now(),
 	}
-	c.reqCount++
+	r.ID = c.admit(r)
 	c.perClass[class].Submitted++
-	if !c.cfg.Slim {
-		c.requests = append(c.requests, r)
-	}
-	c.routesC.Inc()
 	c.rec.Instant(obs.LayerCluster, "llm_route", r.ID, int(class), obs.NoDevice, int64(dev))
 	c.dispatchPrefill(r, dev)
 	return r, nil
@@ -510,9 +424,7 @@ func (c *LLMCluster) SubmitEvent(class overload.Class, prompt, output int) (*LLM
 // previous attempt's degraded mode cut — a truncation is never silently
 // restored by a re-dispatch.
 func (c *LLMCluster) dispatchPrefill(r *LLMRequest, dev int) {
-	id := c.attempts
-	c.attempts++
-	c.attemptReq[id] = r
+	id := c.track(r)
 	r.PrefillDev = dev
 	srv := c.servers[dev]
 	class, prompt, have := r.Class, r.PromptTokens, r.TokensOut
@@ -545,8 +457,7 @@ func (c *LLMCluster) dispatchPrefill(r *LLMRequest, dev int) {
 // shipment on the device's egress link and dispatch the decode ingest, or
 // settle/fail over.
 func (c *LLMCluster) prefillDone(id, dev int, rep llmReport) {
-	r := c.attemptReq[id]
-	delete(c.attemptReq, id)
+	r := c.take(id)
 	c.router.release(dev)
 	c.router.SetPressure(dev, rep.kvUtil)
 	if r.settled {
@@ -583,9 +494,7 @@ func (c *LLMCluster) prefillDone(id, dev int, rep llmReport) {
 // dispatchDecode sends the ingest to the decode replica after the KV
 // transfer completes.
 func (c *LLMCluster) dispatchDecode(r *LLMRequest, dev int, rep llmReport, delay time.Duration) {
-	id := c.attempts
-	c.attempts++
-	c.attemptReq[id] = r
+	id := c.track(r)
 	srv := c.servers[dev]
 	class, prompt := r.Class, r.PromptTokens
 	output := r.OutputTokens - r.Truncated
@@ -614,8 +523,7 @@ func (c *LLMCluster) dispatchDecode(r *LLMRequest, dev int, rep llmReport, delay
 
 // decodeDone folds a decode attempt's report in on shard 0.
 func (c *LLMCluster) decodeDone(id, dev int, rep llmReport) {
-	r := c.attemptReq[id]
-	delete(c.attemptReq, id)
+	r := c.take(id)
 	c.router.release(dev)
 	c.router.SetPressure(dev, rep.kvUtil)
 	if r.settled {
@@ -742,60 +650,11 @@ func (c *LLMCluster) settle(r *LLMRequest, err error) {
 	c.rec.Instant(obs.LayerCluster, "llm_settle", r.ID, int(r.Class), obs.NoDevice, int64(r.TokensOut))
 }
 
-// Engine returns which execution engine the fleet runs on.
-func (c *LLMCluster) Engine() Engine { return c.engine }
-
-// FrontEnv returns shard 0's environment — schedule arrival generators here.
-func (c *LLMCluster) FrontEnv() *sim.Env { return c.shards.Env(0) }
-
-// Router exposes the routing layer.
-func (c *LLMCluster) Router() *Router { return c.router }
-
 // Server returns device i's LLM serving replica.
 func (c *LLMCluster) Server(i int) *serving.LLMServer { return c.servers[i] }
 
-// Devices returns the fleet size (prefill + decode).
-func (c *LLMCluster) Devices() int { return len(c.servers) }
-
 // Requests returns all fleet-level requests; nil in Slim mode.
 func (c *LLMCluster) Requests() []*LLMRequest { return c.requests }
-
-// OutstandingAttempts returns dispatch attempts with no report folded back
-// yet; zero after quiescence, or an attempt's completion was lost.
-func (c *LLMCluster) OutstandingAttempts() int { return len(c.attemptReq) }
-
-// Run executes the simulation to completion across all shards.
-func (c *LLMCluster) Run() error { return c.shards.Run() }
-
-// Shutdown terminates remaining processes on every shard. Call once after
-// Run.
-func (c *LLMCluster) Shutdown() { c.shards.Shutdown() }
-
-// FinishObs folds the per-shard recorders onto cfg.Obs under one boundary
-// label. Call once after Run; a no-op when recording is off.
-func (c *LLMCluster) FinishObs(label string) {
-	if c.cfg.Obs == nil {
-		return
-	}
-	c.cfg.Obs.Merge(label, c.children)
-	if tl := c.Timeline(); tl != nil {
-		tl.LogAlerts(c.cfg.Obs)
-	}
-}
-
-// Timeline merges the per-shard samplers into the run's fleet telemetry
-// timeline and evaluates the configured SLO burn-rate rules; identical on
-// both engines. Returns nil when telemetry is off; call after Run (the
-// merge is cached).
-func (c *LLMCluster) Timeline() *telemetry.Timeline {
-	if c.samplers == nil {
-		return nil
-	}
-	if c.timeline == nil {
-		c.timeline = telemetry.Merge(*c.cfg.Telemetry, c.samplers)
-	}
-	return c.timeline
-}
 
 // LLMClassStats is one priority class's fleet-level accounting. LostTokens
 // is output budget never delivered on shed/expired/failed settlements;

@@ -1,14 +1,6 @@
-// Sharded cluster engine: the fleet partitioned across per-device
-// sub-environments under conservative lookahead.
-//
-// The legacy engine (New) runs every device inside one event heap; past a
-// handful of devices the single heap serializes the whole fleet. The sharded
-// engine gives each device its own sim.Env — shard i+1 hosts device i's full
-// stack (GPU, scheduler, executor, serving front-end) — and keeps the
-// cluster's shared state (router, request bookkeeping, hedge timers) on
-// shard 0, the front-end. Shards interact only through sim.Shards.Send,
-// whose delay is clamped to the modeled network latency, so windows of
-// Config.NetLatency virtual time run in parallel across a worker pool.
+// DNN fleet: shard i+1 runs device i's Olympian serving stack (GPU,
+// scheduler, executor, serving front-end); the front-end on shard 0 routes,
+// fails over and hedges.
 //
 // Every cross-shard interaction is a message:
 //
@@ -40,53 +32,17 @@ import (
 	"olympian/internal/overload"
 	"olympian/internal/serving"
 	"olympian/internal/sim"
-	"olympian/internal/telemetry"
 )
-
-// Engine selects how a sharded cluster executes its shards.
-type Engine int
-
-const (
-	// SingleHeap runs every shard on one shared event heap — the reference
-	// engine differential tests compare the parallel engine against.
-	SingleHeap Engine = iota
-	// Sharded runs each shard on its own heap, windows in parallel.
-	Sharded
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case SingleHeap:
-		return "single-heap"
-	case Sharded:
-		return "sharded"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// DefaultNetLatency is the fallback front-end<->device network latency (and
-// thus the conservative lookahead bounding each parallel window).
-const DefaultNetLatency = 50 * time.Microsecond
 
 // ShardedCluster is a fleet of devices behind one router, executed on
 // per-device sub-environments synchronized at the routing boundary.
 type ShardedCluster struct {
-	cfg    Config
-	engine Engine
-	shards *sim.Shards
-	net    time.Duration
-
-	router  *Router
+	fleet[ShardedRequest]
+	cfg     Config
 	servers []*serving.Server
 	agents  []*shardAgent
 
-	// Front-end bookkeeping, all owned by shard 0.
-	requests   []*ShardedRequest // retained unless Slim
-	attemptReq map[int]*ShardedRequest
-	reqCount   int
-	attempts   int
+	// Front-end tallies, all owned by shard 0.
 	completed  int
 	failed     int
 	failovers  int
@@ -99,29 +55,16 @@ type ShardedCluster struct {
 	// Slim modes.
 	byModel map[string]*obs.Hist
 
-	// children[0] records the front-end, children[i+1] device i; merged onto
-	// cfg.Obs by FinishObs. All nil when recording is off.
-	children []*obs.Recorder
-	rec      *obs.Recorder
-
-	// samplers[i] scrapes children[i]'s registry on shard i's virtual clock;
-	// nil when telemetry is off. timeline caches the merged view.
-	samplers []*telemetry.Sampler
-	timeline *telemetry.Timeline
-
-	routesC     *obs.Series
-	failoversC  *obs.Series
 	hedgesC     *obs.Series
 	hedgeWinsC  *obs.Series
-	crashesC    *obs.Series
-	revivesC    *obs.Series
 	partitionsC *obs.Series
 }
 
-// ShardedRequest is one cluster-level inference request under the sharded
-// engine. Like the legacy Request it survives failover and may be hedged,
-// but every dispatch attempt lives on its device's shard; the front-end only
-// sees attempt outcome reports.
+// ShardedRequest is one cluster-level inference request. It survives
+// failover (drained attempts re-dispatch to surviving replicas) and may be
+// hedged (a duplicate races the primary on another replica; first completion
+// wins, the loser is cancelled). Every dispatch attempt lives on its
+// device's shard; the front-end only sees attempt outcome reports.
 type ShardedRequest struct {
 	// ID is the request's cluster-level arrival index.
 	ID int
@@ -174,64 +117,23 @@ func (r *ShardedRequest) Latency() time.Duration {
 // reference; both produce bit-identical runs for equal configs and seeds.
 func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 	cfg = cfg.withDefaults()
-	if cfg.NetLatency <= 0 {
-		cfg.NetLatency = DefaultNetLatency
-	}
-	n := len(cfg.Devices)
-	shards := sim.NewShards(sim.ShardsConfig{
-		N:          n + 1,
-		Lookahead:  cfg.NetLatency,
-		Seed:       cfg.Seed,
-		SingleHeap: engine == SingleHeap,
-		Workers:    cfg.Workers,
+	c := &ShardedCluster{cfg: cfg, byModel: make(map[string]*obs.Hist)}
+	c.init(fleetConfig{
+		devices: len(cfg.Devices), engine: engine, seed: cfg.Seed, net: cfg.NetLatency,
+		workers: cfg.Workers, slim: cfg.Slim, route: cfg.Route, debt: debtUnit(cfg),
+		obs: cfg.Obs, telemetry: cfg.Telemetry,
+	}, func(reg *obs.Registry) {
+		c.hedgesC = reg.Counter("olympian_cluster_hedges_total", "Hedged duplicates dispatched.")
+		c.hedgeWinsC = reg.Counter("olympian_cluster_hedge_wins_total", "Races won by the hedge.")
 	})
-	c := &ShardedCluster{
-		cfg:        cfg,
-		engine:     engine,
-		shards:     shards,
-		net:        cfg.NetLatency,
-		attemptReq: make(map[int]*ShardedRequest),
-		byModel:    make(map[string]*obs.Hist),
-		children:   make([]*obs.Recorder, n+1),
-	}
-	if cfg.Obs != nil {
-		for i := range c.children {
-			c.children[i] = cfg.Obs.NewChild()
-			c.children[i].Attach(shards.Env(i))
-		}
-		if cfg.Telemetry != nil {
-			c.samplers = make([]*telemetry.Sampler, len(c.children))
-			for i := range c.children {
-				c.samplers[i] = telemetry.NewSampler(*cfg.Telemetry, c.children[i].Registry())
-				c.samplers[i].Bind(shards.Env(i))
-			}
-		}
-	}
-	c.rec = c.children[0]
-	reg := c.rec.Registry()
-	c.routesC = reg.Counter("olympian_cluster_routes_total", "Routing decisions.")
-	c.failoversC = reg.Counter("olympian_cluster_failovers_total", "Requests re-dispatched after a drain.")
-	c.hedgesC = reg.Counter("olympian_cluster_hedges_total", "Hedged duplicates dispatched.")
-	c.hedgeWinsC = reg.Counter("olympian_cluster_hedge_wins_total", "Races won by the hedge.")
-	c.crashesC = reg.Counter("olympian_cluster_crashes_total", "Devices crashed permanently or pending restart.")
-	c.revivesC = reg.Counter("olympian_cluster_revives_total", "Replicas re-admitted after restart warm-up.")
-	c.partitionsC = reg.Counter("olympian_cluster_partitions_total", "Router-device partition windows begun.")
-
-	c.router = newRouter(shards.Env(0), n, cfg.Route, debtUnit(cfg))
-	if cfg.Slim {
-		c.router.setSlim()
-	}
-	if err := applyPlacement(c.router, cfg.Placement, n); err != nil {
+	c.partitionsC = c.rec.Registry().Counter("olympian_cluster_partitions_total", "Router-device partition windows begun.")
+	if err := applyPlacement(c.router, cfg.Placement, c.devices); err != nil {
 		return nil, err
 	}
 
 	for i, spec := range cfg.Devices {
-		env := shards.Env(i + 1)
-		var inj *faults.Injector
-		if i < len(cfg.Faults) && cfg.Faults[i] != nil && cfg.Faults[i].Enabled() {
-			inj = faults.New(cfg.Seed+int64(i)*1031, *cfg.Faults[i])
-		}
-		srv, err := serving.NewServer(env, serving.Config{
+		inj := c.injector(cfg.Faults, i)
+		srv, err := serving.NewServer(c.shards.Env(i+1), serving.Config{
 			Spec:               spec,
 			UseOlympian:        true,
 			Policy:             cfg.Policy(),
@@ -267,44 +169,18 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 			devRec.Instant(obs.LayerCluster, "drain", obs.NoReq, obs.NoClass, i, int64(drained))
 			c.shards.Send(i+1, 0, c.net, func() { c.stallReported(i, until) })
 		})
-		srv.Device().SetCrashObserver(func(recovery time.Duration) {
-			// Device-side: drain our queue (in-flight batches fail through
-			// the crash path and fan reports back through the agent), arm the
-			// revival timer on our own heap, and tell the front-end to mark
-			// us dead — no timer expiry there brings us back.
+		// In-flight batches fail through the crash path and fan reports
+		// back through the agent; only the queue needs draining.
+		c.watchDevice(i, srv.Device(), warmupFor(cfg, i), func() int {
 			drained := srv.DrainQueued()
 			drainsC.Inc()
-			devRec.Instant(obs.LayerCluster, "crash_drain", obs.NoReq, obs.NoClass, i, int64(drained))
-			if recovery > 0 {
-				warm := warmupFor(cfg, i)
-				env.Schedule(recovery, func() { srv.Device().Revive(warm) })
-			}
-			c.shards.Send(i+1, 0, c.net, func() { c.crashReported(i) })
-		})
-		srv.Device().SetReadyObserver(func() {
-			c.shards.Send(i+1, 0, c.net, func() { c.readyReported(i) })
+			return drained
 		})
 		if inj != nil {
 			c.schedulePartitions(i, inj)
 		}
 	}
 	return c, nil
-}
-
-// crashReported runs on shard 0 when a device's crash report arrives: the
-// replica is marked dead at the router — only a revive report re-admits it.
-func (c *ShardedCluster) crashReported(dev int) {
-	c.router.MarkDead(dev)
-	c.crashesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "crash", obs.NoReq, obs.NoClass, dev, 0)
-}
-
-// readyReported runs on shard 0 when a revived device's ready report
-// arrives: the replica re-enters rotation with a clean slate.
-func (c *ShardedCluster) readyReported(dev int) {
-	c.router.Revive(dev)
-	c.revivesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "revive", obs.NoReq, obs.NoClass, dev, 0)
 }
 
 // schedulePartitions arms a device's router-partition windows on the
@@ -427,17 +303,12 @@ func (c *ShardedCluster) SubmitEvent(modelName string, class overload.Class) (*S
 		return nil, err
 	}
 	r := &ShardedRequest{
-		ID:       c.reqCount,
 		Model:    modelName,
 		Class:    class,
 		Device:   dev,
 		ArriveAt: c.shards.Env(0).Now(),
 	}
-	c.reqCount++
-	if !c.cfg.Slim {
-		c.requests = append(c.requests, r)
-	}
-	c.routesC.Inc()
+	r.ID = c.admit(r)
 	c.rec.Instant(obs.LayerCluster, "route", r.ID, int(class), obs.NoDevice, int64(dev))
 	c.dispatch(r, dev, false)
 	if c.cfg.HedgeDelay > 0 {
@@ -448,9 +319,7 @@ func (c *ShardedCluster) SubmitEvent(modelName string, class overload.Class) (*S
 
 // dispatch registers one attempt and sends it to the device's agent.
 func (c *ShardedCluster) dispatch(r *ShardedRequest, dev int, hedge bool) {
-	id := c.attempts
-	c.attempts++
-	c.attemptReq[id] = r
+	id := c.track(r)
 	r.pending = append(r.pending, shardAttempt{id: id, dev: dev, hedge: hedge})
 	op := agentOp{attempt: id, model: r.Model, class: r.Class}
 	agent := c.agents[dev]
@@ -460,8 +329,7 @@ func (c *ShardedCluster) dispatch(r *ShardedRequest, dev int, hedge bool) {
 // attemptDone folds one attempt outcome report into the request's state.
 // Runs on shard 0 when the report message is delivered.
 func (c *ShardedCluster) attemptDone(id int, err error) {
-	r := c.attemptReq[id]
-	delete(c.attemptReq, id)
+	r := c.take(id)
 	var att shardAttempt
 	for i, a := range r.pending {
 		if a.id == id {
@@ -578,67 +446,12 @@ func (c *ShardedCluster) stallReported(dev int, until sim.Time) {
 	}
 }
 
-// Engine returns which execution engine the cluster runs on.
-func (c *ShardedCluster) Engine() Engine { return c.engine }
-
-// FrontEnv returns shard 0's environment — schedule arrival generators here.
-func (c *ShardedCluster) FrontEnv() *sim.Env { return c.shards.Env(0) }
-
-// Router exposes the routing layer (decision log, health controls).
-func (c *ShardedCluster) Router() *Router { return c.router }
-
 // Server returns device i's serving front-end.
 func (c *ShardedCluster) Server(i int) *serving.Server { return c.servers[i] }
-
-// Devices returns the fleet size.
-func (c *ShardedCluster) Devices() int { return len(c.servers) }
 
 // Requests returns all cluster-level requests submitted so far; nil in Slim
 // mode, which does not retain them.
 func (c *ShardedCluster) Requests() []*ShardedRequest { return c.requests }
-
-// OutstandingAttempts returns how many dispatch attempts are still in flight
-// (dispatched, no outcome report folded back yet). After a run has quiesced
-// it must be zero — the request-conservation checker asserts this: a nonzero
-// count means some attempt's completion was lost.
-func (c *ShardedCluster) OutstandingAttempts() int { return len(c.attemptReq) }
-
-// Run executes the simulation to completion across all shards.
-func (c *ShardedCluster) Run() error { return c.shards.Run() }
-
-// Shutdown terminates remaining processes on every shard. Call once after
-// Run.
-func (c *ShardedCluster) Shutdown() { c.shards.Shutdown() }
-
-// FinishObs folds the per-shard recorders onto cfg.Obs under one boundary
-// label, then logs any SLO burn-rate alert transitions as telemetry-layer
-// instants on the same merged time base. Call once after Run; a no-op when
-// recording is off.
-func (c *ShardedCluster) FinishObs(label string) {
-	if c.cfg.Obs == nil {
-		return
-	}
-	c.cfg.Obs.Merge(label, c.children)
-	if tl := c.Timeline(); tl != nil {
-		tl.LogAlerts(c.cfg.Obs)
-	}
-}
-
-// Timeline merges the per-shard samplers into the run's fleet telemetry
-// timeline and evaluates the configured SLO burn-rate rules. Each shard's
-// sampler ticks on its own virtual clock; Merge extends the early-quiescing
-// ones to the global tick count, so the result is identical on the
-// single-heap and parallel engines. Returns nil when telemetry is off; call
-// after Run (the merge is cached).
-func (c *ShardedCluster) Timeline() *telemetry.Timeline {
-	if c.samplers == nil {
-		return nil
-	}
-	if c.timeline == nil {
-		c.timeline = telemetry.Merge(*c.cfg.Telemetry, c.samplers)
-	}
-	return c.timeline
-}
 
 // Stats summarises the cluster's activity so far. Rates use the shard
 // horizon (the latest virtual time any shard reached) as the elapsed-time

@@ -97,10 +97,7 @@ func overloadServe(o Options, rate float64, horizon time.Duration, rec *obs.Reco
 // with hedged requests racing a duplicate on the healthy device after a
 // deterministic delay.
 func overloadHedge(o Options, horizon time.Duration, rec *obs.Recorder) (cluster.Stats, error) {
-	env := sim.NewEnv(o.Seed + 11)
-	defer env.Shutdown()
-	rec.Bind(env, "run:overload-hedge")
-	c, err := cluster.New(env, cluster.Config{
+	c, err := cluster.NewSharded(cluster.Config{
 		Seed:    o.Seed + 11,
 		Devices: []gpu.Spec{gpu.GTX1080Ti, gpu.GTX1080Ti},
 		Faults: []*faults.Plan{
@@ -113,30 +110,27 @@ func overloadHedge(o Options, horizon time.Duration, rec *obs.Recorder) (cluster
 		HedgeDelay:   60 * time.Millisecond,
 		Profiles:     o.Profiles,
 		Obs:          rec,
-	})
+	}, cluster.Sharded)
 	if err != nil {
 		return cluster.Stats{}, err
 	}
 	rng := rand.New(rand.NewSource(o.Seed + 23))
 	rate := 50.0
 	t := 0.0
-	for i := 0; t < horizon.Seconds(); i++ {
+	for t < horizon.Seconds() {
 		t += rng.ExpFloat64() / rate
-		arrive := time.Duration(t * float64(time.Second))
-		env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
-			p.Sleep(arrive)
-			req, err := c.Submit(p, model.Inception)
-			if err != nil {
-				return
-			}
-			req.Wait(p)
+		c.FrontEnv().Schedule(time.Duration(t*float64(time.Second)), func() {
+			c.SubmitEvent(model.Inception, overload.Interactive)
 		})
 	}
-	if err := env.Run(); err != nil {
+	err = c.Run()
+	c.Shutdown()
+	if err != nil {
 		return cluster.Stats{}, err
 	}
+	c.FinishObs("run:overload-hedge")
 	st := c.Stats()
-	if vs := invariant.CheckCluster(c, st); len(vs) > 0 {
+	if vs := invariant.CheckSharded(c, st); len(vs) > 0 {
 		return cluster.Stats{}, fmt.Errorf("overload-hedge: request conservation violated: %v", vs)
 	}
 	return st, nil

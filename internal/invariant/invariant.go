@@ -68,14 +68,41 @@ func CheckServing(scope string, st serving.Stats) []Violation {
 	return vs
 }
 
-// CheckStats audits a quiesced cluster run's aggregate stats, whichever
-// engine produced them: every cluster-level request must have settled exactly
-// once (Requests = Completed + Failed), and each device's serving tallies
-// must conserve their own arrivals. Device-level arrivals exceed
-// cluster-level ones by failovers and hedges — each re-dispatch is a fresh
-// serving-layer submission — so only per-layer identities are asserted, never
-// cross-layer equality.
-func CheckStats(st cluster.Stats) []Violation {
+// quiescent is what a cluster fleet exposes about its in-flight work.
+type quiescent interface {
+	OutstandingAttempts() int
+	Router() *cluster.Router
+	Devices() int
+}
+
+// checkQuiesced audits a fleet after its run quiesced: no dispatch attempt
+// may still be in flight and the router must hold no outstanding slots.
+func checkQuiesced(c quiescent) []Violation {
+	var vs []Violation
+	if n := c.OutstandingAttempts(); n != 0 {
+		vs = append(vs, violatef("attempts-quiesced",
+			"%d dispatch attempts still in flight after the run quiesced", n))
+	}
+	rt := c.Router()
+	for d := 0; d < c.Devices(); d++ {
+		if n := rt.Outstanding(d); n != 0 {
+			vs = append(vs, violatef("router-outstanding",
+				"device %d holds %d outstanding routing slots after quiescence", d, n))
+		}
+	}
+	return vs
+}
+
+// CheckSharded audits a quiesced cluster run, whichever engine produced it.
+// Every cluster-level request must have settled exactly once (Requests =
+// Completed + Failed), and each device's serving tallies must conserve their
+// own arrivals. Device-level arrivals exceed cluster-level ones by failovers
+// and hedges — each re-dispatch is a fresh serving-layer submission — so
+// only per-layer identities are asserted, never cross-layer equality. Beyond
+// what the stats expose, no dispatch attempt may still be in flight, the
+// router must hold no outstanding slots, and every retained request must
+// have settled, in counts matching the aggregate stats.
+func CheckSharded(c *cluster.ShardedCluster, st cluster.Stats) []Violation {
 	var vs []Violation
 	if st.Completed+st.Failed != st.Requests {
 		vs = append(vs, violatef("cluster-conservation",
@@ -91,26 +118,7 @@ func CheckStats(st cluster.Stats) []Violation {
 	for i, ds := range st.PerDevice {
 		vs = append(vs, CheckServing(fmt.Sprintf("device %d", i), ds)...)
 	}
-	return vs
-}
-
-// CheckSharded audits a quiesced sharded cluster beyond what its stats
-// expose: no dispatch attempt may still be in flight, the router must hold no
-// outstanding slots, and every retained request must have settled exactly
-// once, in counts matching the aggregate stats.
-func CheckSharded(c *cluster.ShardedCluster, st cluster.Stats) []Violation {
-	vs := CheckStats(st)
-	if n := c.OutstandingAttempts(); n != 0 {
-		vs = append(vs, violatef("attempts-quiesced",
-			"%d dispatch attempts still in flight after the run quiesced", n))
-	}
-	rt := c.Router()
-	for d := 0; d < c.Devices(); d++ {
-		if n := rt.Outstanding(d); n != 0 {
-			vs = append(vs, violatef("router-outstanding",
-				"device %d holds %d outstanding routing slots after quiescence", d, n))
-		}
-	}
+	vs = append(vs, checkQuiesced(c)...)
 	if reqs := c.Requests(); reqs != nil {
 		completed, failed := 0, 0
 		for _, r := range reqs {
@@ -129,37 +137,6 @@ func CheckSharded(c *cluster.ShardedCluster, st cluster.Stats) []Violation {
 				"retained requests settle as %d completed / %d failed but stats report %d / %d",
 				completed, failed, st.Completed, st.Failed))
 		}
-	}
-	return vs
-}
-
-// CheckCluster audits a quiesced legacy (single-environment) cluster: router
-// slots returned, every retained request settled, counts matching the stats.
-func CheckCluster(c *cluster.Cluster, st cluster.Stats) []Violation {
-	vs := CheckStats(st)
-	rt := c.Router()
-	for d := 0; d < c.Devices(); d++ {
-		if n := rt.Outstanding(d); n != 0 {
-			vs = append(vs, violatef("router-outstanding",
-				"device %d holds %d outstanding routing slots after quiescence", d, n))
-		}
-	}
-	completed, failed := 0, 0
-	for _, r := range c.Requests() {
-		switch {
-		case !r.Finished():
-			vs = append(vs, violatef("request-stranded",
-				"request %d (%s) never reached a terminal state", r.ID, r.Model))
-		case r.Failed():
-			failed++
-		default:
-			completed++
-		}
-	}
-	if completed != st.Completed || failed != st.Failed {
-		vs = append(vs, violatef("retained-mismatch",
-			"retained requests settle as %d completed / %d failed but stats report %d / %d",
-			completed, failed, st.Completed, st.Failed))
 	}
 	return vs
 }

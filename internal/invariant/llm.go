@@ -94,18 +94,7 @@ func CheckLLMStats(st cluster.LLMClusterStats) []Violation {
 // flight, no router slot held, and every retained request terminal with
 // token counts matching the aggregate tally.
 func CheckLLM(c *cluster.LLMCluster, st cluster.LLMClusterStats) []Violation {
-	vs := CheckLLMStats(st)
-	if n := c.OutstandingAttempts(); n != 0 {
-		vs = append(vs, violatef("attempts-quiesced",
-			"%d dispatch attempts still in flight after the run quiesced", n))
-	}
-	rt := c.Router()
-	for d := 0; d < c.Devices(); d++ {
-		if n := rt.Outstanding(d); n != 0 {
-			vs = append(vs, violatef("router-outstanding",
-				"device %d holds %d outstanding routing slots after quiescence", d, n))
-		}
-	}
+	vs := append(CheckLLMStats(st), checkQuiesced(c)...)
 	if reqs := c.Requests(); reqs != nil {
 		tokens := 0
 		for _, r := range reqs {

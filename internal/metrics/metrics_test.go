@@ -315,20 +315,3 @@ func TestDegradedStringRendersClassesAndNewCounters(t *testing.T) {
 		t.Fatalf("String() = %q renders the traffic-free batch class", s)
 	}
 }
-
-func TestTokenPercentilesOf(t *testing.T) {
-	tp := TokenPercentilesOf([]float64{0.1, 0.2, 0.3}, []float64{0.01, 0.02})
-	if tp.TTFT.N != 3 || tp.TPOT.N != 2 {
-		t.Fatalf("sample counts: %+v", tp)
-	}
-	if tp.TTFT.P50 != 0.2 {
-		t.Fatalf("ttft p50 = %v", tp.TTFT.P50)
-	}
-	empty := TokenPercentilesOf(nil, nil)
-	if empty != (TokenPercentiles{}) {
-		t.Fatalf("empty samples must yield zero value: %+v", empty)
-	}
-	if empty.String() == "" || tp.String() == "" {
-		t.Fatalf("String must render")
-	}
-}

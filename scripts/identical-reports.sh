@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Checks that the working tree reproduces the experiment reports of a git
 # ref byte for byte, apart from wall-clock figures. It builds olympian-sim
-# at the ref and from the working tree, runs the -quick experiments below
-# and the full-size scale experiment with both, masks the wall-clock fields
-# and diffs the reports. Any other difference is printed as a unified diff
-# and the script exits non-zero. Full-size scale is the one report in which
-# the thread pool backs up and an Olympian gang deadlocks.
+# at the ref and from the working tree, runs every registered experiment at
+# -quick size and the full-size scale experiment with both, masks the
+# wall-clock fields and diffs the reports. Any other difference is printed
+# as a unified diff and the script exits non-zero. Full-size scale is the
+# one report in which the thread pool backs up and an Olympian gang
+# deadlocks.
 #
 # Run from anywhere inside the repository:
 #
@@ -18,7 +19,6 @@
 set -euo pipefail
 
 ref=${1:?usage: scripts/identical-reports.sh <git-ref>}
-experiments=(cluster chaos sharded recovery fig3 fig6 fig11 fig13 fig15 fig16 fig17 fig18 fig19 util overload ext-multigpu ext-slicing llm llmoverload)
 full=(scale)
 
 root=$(git rev-parse --show-toplevel)
@@ -46,9 +46,9 @@ mask() {
 }
 
 for side in ref tree; do
-	echo "running -quick ${experiments[*]} and full-size ${full[*]} at $side" >&2
+	echo "running -quick -all and full-size ${full[*]} at $side" >&2
 	{
-		"$work/sim-$side" -quick "${experiments[@]}"
+		"$work/sim-$side" -quick -all
 		"$work/sim-$side" "${full[@]}"
 	} | mask >"$work/$side.txt"
 done
